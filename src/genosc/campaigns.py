@@ -1,12 +1,10 @@
 """Sampled verification campaigns tying the exact algebra to the geometry.
 
-Each campaign returns a max-over-samples residual, so aggregation is
-order-independent and campaigns can be chunked across workers without
-changing the report.
+Each campaign returns a max-over-samples residual, so the report does not
+depend on the order in which the samples are visited.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,54 +26,33 @@ from .symplectic import hamiltonian_field, poisson_bracket
 
 
 def max_over_points(
-    per_point: Callable[[PhasePoint], float],
-    points: Sequence[PhasePoint],
-    workers: int = 1,
+    per_point: Callable[[PhasePoint], float], points: Sequence[PhasePoint]
 ) -> float:
-    """Max of a per-point residual, optionally chunked over a thread pool.
-
-    The result is identical for any worker count (max is commutative)."""
-    if workers <= 1 or len(points) < 2:
-        return float(max((per_point(p) for p in points), default=0.0))
-    chunks = [points[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = pool.map(
-            lambda ch: max((per_point(p) for p in ch), default=0.0), chunks
-        )
-    return float(max(partials, default=0.0))
+    """Max of a per-point residual over the samples (0 when there are none)."""
+    return float(max((per_point(p) for p in points), default=0.0))
 
 
-def det_residual(
-    params: OscillatorParams, points: Sequence[PhasePoint], workers: int = 1
-) -> float:
+def det_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max |det g - 1|, the Ricci-flatness witness."""
-    return max_over_points(lambda p: abs(metric_at(params, p).det_g - 1.0), points, workers)
+    return max_over_points(lambda p: abs(metric_at(params, p).det_g - 1.0), points)
 
 
-def inverse_residual(
-    params: OscillatorParams, points: Sequence[PhasePoint], workers: int = 1
-) -> float:
+def inverse_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max entrywise |closed-form inverse - direct numerical inverse|."""
 
     def per_point(p: PhasePoint) -> float:
         md = metric_at(params, p)
         return float(np.max(np.abs(md.g_inv - np.linalg.inv(md.g))))
 
-    return max_over_points(per_point, points, workers)
+    return max_over_points(per_point, points)
 
 
-def ricci_residual(
-    params: OscillatorParams, points: Sequence[PhasePoint], workers: int = 1
-) -> float:
+def ricci_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max entrywise |R_{ab'}| by nested finite differencing of log det g."""
-    return max_over_points(
-        lambda p: float(np.max(np.abs(ricci_at(params, p)))), points, workers
-    )
+    return max_over_points(lambda p: float(np.max(np.abs(ricci_at(params, p)))), points)
 
 
-def field_residual(
-    params: OscillatorParams, points: Sequence[PhasePoint], workers: int = 1
-) -> float:
+def field_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max deviation of the numeric Hamiltonian field of every N^{ab'} from
     the closed form i (z^a d_b - zbar^b d_abar)."""
     m = params.m
@@ -97,12 +74,10 @@ def field_residual(
             worst = max(worst, float(dev))
         return worst
 
-    return max_over_points(per_point, points, workers)
+    return max_over_points(per_point, points)
 
 
-def bracket_residual(
-    params: OscillatorParams, points: Sequence[PhasePoint], workers: int = 1
-) -> float:
+def bracket_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max over all basis 4-tuples of |numeric Poisson bracket - exact
     structure bracket evaluated pointwise|."""
     m = params.m
@@ -120,7 +95,7 @@ def bracket_residual(
             worst = max(worst, float(abs(num - ref)))
         return worst
 
-    return max_over_points(per_point, points, workers)
+    return max_over_points(per_point, points)
 
 
 def random_holomorphic_polynomials(m: int, count: int, seed: int, max_degree: int = 3):

@@ -2,8 +2,8 @@
 
 Subcommands: verify | spectrum | dirac | eval.  Reports go to stdout as
 UTF-8 JSON with a fixed key order and floats rendered with 17 significant
-digits; identical flags and seed produce byte-identical output regardless
-of worker count.  Exit codes: 0 pass, 1 verification failure, 2 usage error.
+digits; identical flags and seed produce byte-identical output.  Exit codes:
+0 pass, 1 verification failure, 2 usage error (malformed or non-finite input).
 
 Tolerances may also be set through environment variables with the GENOSC_
 prefix (e.g. GENOSC_TOL_DET); explicit flags win over the environment.
@@ -11,7 +11,9 @@ prefix (e.g. GENOSC_TOL_DET); explicit flags win over the environment.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,6 +54,8 @@ def _render_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r} as JSON")
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -72,17 +76,34 @@ def _emit(report: dict):
 
 
 def _tolerances(args) -> dict:
+    """Tolerance per check: the --tol-<name> flag, else GENOSC_TOL_<NAME>,
+    else the default.  Raises ValueError naming a value that is not a finite
+    number."""
     tols = {}
     for name, default in DEFAULT_TOLERANCES.items():
         flag = getattr(args, f"tol_{name}", None)
-        env = os.environ.get(f"{ENV_PREFIX}TOL_{name.upper()}")
+        env_name = f"{ENV_PREFIX}TOL_{name.upper()}"
         if flag is not None:
-            tols[name] = flag
-        elif env is not None:
-            tols[name] = float(env)
+            source, value = f"--tol-{name}", flag
         else:
-            tols[name] = default
+            source, value = env_name, os.environ.get(env_name, default)
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            tols[name] = math.nan
+        if not math.isfinite(tols[name]):
+            raise ValueError(f"{source} must be a finite number, got {value!r}")
     return tols
+
+
+def _params(args, parser) -> OscillatorParams:
+    """OscillatorParams from --m, --a and --hbar; a bad value is a usage error."""
+    if not math.isfinite(args.a):
+        parser.error(f"--a must be finite, got {args.a}")
+    try:
+        return OscillatorParams(m=args.m, a=args.a, hbar=Fraction(args.hbar))
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(f"--hbar must be a positive fraction such as 1/2: {exc}")
 
 
 def _cmd_verify(args, parser) -> int:
@@ -90,19 +111,21 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--m must be >= 1")
     if args.samples < 1:
         parser.error("--samples must be >= 1")
-    if args.margin <= 0:
-        parser.error("--margin must be positive")
-    params = OscillatorParams(m=args.m, a=args.a, hbar=Fraction(args.hbar))
-    tols = _tolerances(args)
+    if not 0 < args.margin < math.inf:
+        parser.error("--margin must be positive and finite")
+    params = _params(args, parser)
+    try:
+        tols = _tolerances(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     points = sample_points(params, args.samples, args.seed, args.margin)
-    w = args.workers
 
     residuals = {
-        "det": det_residual(params, points, w),
-        "inverse": inverse_residual(params, points, w),
-        "ricci": ricci_residual(params, points, w),
-        "field": field_residual(params, points, w),
-        "bracket": bracket_residual(params, points, w),
+        "det": det_residual(params, points),
+        "inverse": inverse_residual(params, points),
+        "ricci": ricci_residual(params, points),
+        "field": field_residual(params, points),
+        "bracket": bracket_residual(params, points),
     }
     pol, control = polarization_residuals(
         params, points, tols["polarization"], poly_seed=args.seed
@@ -242,17 +265,35 @@ def _parse_pairs(data) -> list[complex]:
     return [complex(re, im) for re, im in data]
 
 
+def _rational(x) -> ComplexRational:
+    re, im = x
+    return ComplexRational.of(Fraction(str(re)), Fraction(str(im)))
+
+
+def _parse_element(text: str, parser) -> AlgebraElement:
+    """The --element JSON as an AlgebraElement; a malformed one is a usage error."""
+    try:
+        spec = json.loads(text)
+        coeff = [[_rational(c) for c in row] for row in spec["coeff"]]
+        return AlgebraElement(coeff, _rational(spec.get("constant", [0, 0])))
+    except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
+        parser.error(f"malformed --element: {type(exc).__name__}: {exc}")
+
+
 def _cmd_eval(args, parser) -> int:
     if args.m < 1:
         parser.error("--m must be >= 1")
     if args.element is None and not args.metric:
         parser.error("choose --metric or --element")
+    params = _params(args, parser)
+    element = None if args.metric else _parse_element(args.element, parser)
     try:
         data = json.load(sys.stdin)
         point = PhasePoint(_parse_pairs(data))
     except (ValueError, TypeError) as exc:
         parser.error(f"expected a JSON array of [re, im] pairs on stdin: {exc}")
-    params = OscillatorParams(m=args.m, a=args.a, hbar=Fraction(args.hbar))
+    if not (all(map(cmath.isfinite, point.z)) and math.isfinite(point.r)):
+        parser.error(f"the point's coordinates and r must be finite, got r = {point.r}")
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -274,14 +315,7 @@ def _cmd_eval(args, parser) -> int:
             report["g_inv"] = [[[v.real, v.imag] for v in row] for row in md.g_inv]
             report["det_g"] = md.det_g
         else:
-            spec = json.loads(args.element)
-            coeff = [
-                [ComplexRational.of(Fraction(str(re)), Fraction(str(im))) for re, im in row]
-                for row in spec["coeff"]
-            ]
-            const = spec.get("constant", [0, 0])
-            e = AlgebraElement(coeff, ComplexRational.of(Fraction(str(const[0])), Fraction(str(const[1]))))
-            value = evaluate(e, params, point)
+            value = evaluate(element, params, point)
             report["value"] = [value.real, value.imag]
     except GenoscError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -305,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--margin", type=float, default=0.1)
     p_verify.add_argument("--hbar", default="1", help="hbar as an exact fraction, e.g. 1/2")
-    p_verify.add_argument("--workers", type=int, default=1)
     for name in DEFAULT_TOLERANCES:
         p_verify.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
     p_verify.set_defaults(func=_cmd_verify)

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, ExhaustionError
 
-# 4th-order central-difference stencil: f'(x) ~ sum w_k f(x + c_k h) / (12 h)
-_STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_STENCIL_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
-
 #: Relative step for Wirtinger differencing, scaled per coordinate.
 WIRTINGER_STEP = 1e-4
 
@@ -29,6 +25,22 @@ INVERSE_CONSISTENCY_TOL = 1e-8
 
 HOLOMORPHIC = "holomorphic"
 ANTIHOLOMORPHIC = "antiholomorphic"
+
+# 4th-order central differences, f'(x) ~ sum_k w_k f(x + c_k h) / (12 h), taken
+# along x and y and combined as d/dz = (d_x - i d_y) / 2, d/dzbar = (d_x + i d_y) / 2.
+# Per kind: (displacement, weight) pairs, the displacement c_k or i c_k in units
+# of h and the weight w_k or -+i w_k, whose weighted sum of field values is 24 h
+# times the derivative.  The integer weights stay exact and opposite offsets are
+# adjacent, so a constant field sums to exactly 0.
+_STENCIL = ((-2.0, 1.0), (2.0, -1.0), (-1.0, -8.0), (1.0, 8.0))
+_WIRTINGER_STENCIL = {
+    kind: tuple(
+        (c * axis, w * coef)
+        for axis, coef in ((1.0, 1.0), (1j, ycoef))
+        for c, w in _STENCIL
+    )
+    for kind, ycoef in ((HOLOMORPHIC, -1j), (ANTIHOLOMORPHIC, 1j))
+}
 
 _MAX_REJECTIONS = 10_000
 
@@ -145,7 +157,9 @@ def metric_at(params: OscillatorParams, p: PhasePoint) -> MetricData:
     return MetricData(g=g, g_inv=g_inv, det_g=det)
 
 
-ScalarField = Callable[[PhasePoint], complex]
+#: A field on phase space: complex-valued, or a numpy array of complex values
+#: that the differencing below treats componentwise.
+ScalarField = Callable[[PhasePoint], complex | np.ndarray]
 
 
 def _step(z: complex) -> float:
@@ -158,44 +172,27 @@ def wirtinger(
     index: int,
     kind: str,
     params: OscillatorParams | None = None,
-) -> complex:
-    """Numerical Wirtinger derivative of a scalar field at p.
+) -> complex | np.ndarray:
+    """Numerical Wirtinger derivative of a field at p.
 
     kind selects d/dz^index (``holomorphic``, = (d_x - i d_y)/2) or
     d/dzbar^index (``antiholomorphic``, = (d_x + i d_y)/2).  Uses 4th-order
-    central differences on the real and imaginary parts.  When params is
-    given, every stencil point is checked for admissibility.
+    central differences on the real and imaginary parts.  An array-valued
+    field is differentiated componentwise.  When params is given, every
+    stencil point is checked for admissibility.
     """
     if kind not in (HOLOMORPHIC, ANTIHOLOMORPHIC):
         raise ValueError(f"kind must be {HOLOMORPHIC!r} or {ANTIHOLOMORPHIC!r}, got {kind!r}")
     if not 0 <= index < len(p.z):
         raise IndexError(f"coordinate index {index} out of range for m = {len(p.z)}")
     h = _step(p.z[index])
-    dx = 0.0 + 0.0j
-    dy = 0.0 + 0.0j
-    for c, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-        qx = p.shifted(index, c * h)
-        qy = p.shifted(index, 1j * c * h)
+    total = 0j
+    for shift, weight in _WIRTINGER_STENCIL[kind]:
+        q = p.shifted(index, shift * h)
         if params is not None:
-            qx.require_admissible(params)
-            qy.require_admissible(params)
-        dx += w * field(qx)
-        dy += w * field(qy)
-    dx /= 12.0 * h
-    dy /= 12.0 * h
-    if kind == HOLOMORPHIC:
-        return 0.5 * (dx - 1j * dy)
-    return 0.5 * (dx + 1j * dy)
-
-
-def _deriv_terms(h: float, anti: bool):
-    """1-D Wirtinger stencil as (complex displacement, complex weight) pairs."""
-    ysign = 1j if anti else -1j
-    terms = []
-    for c, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-        terms.append((c * h, 0.5 * w / (12.0 * h)))
-        terms.append((1j * c * h, ysign * 0.5 * w / (12.0 * h)))
-    return terms
+            q.require_admissible(params)
+        total += weight * field(q)
+    return total / (24.0 * h)
 
 
 def _log_det_batch(params: OscillatorParams, Z: np.ndarray) -> np.ndarray:
@@ -226,28 +223,23 @@ def ricci_at(params: OscillatorParams, p: PhasePoint) -> np.ndarray:
     p.require_admissible(params)
     m = params.m
     z = np.asarray(p.z, dtype=complex)
+    h = np.array([_step(c) for c in p.z])
+    nested = [
+        (si, sj, wi * wj)
+        for si, wi in _WIRTINGER_STENCIL[HOLOMORPHIC]
+        for sj, wj in _WIRTINGER_STENCIL[ANTIHOLOMORPHIC]
+    ]
     points = []
-    weights = []
-    spans = []
     for i in range(m):
         for j in range(m):
-            ti = _deriv_terms(_step(p.z[i]), anti=False)
-            tj = _deriv_terms(_step(p.z[j]), anti=True)
-            start = len(points)
-            for dzi, wi in ti:
-                for dzj, wj in tj:
-                    q = z.copy()
-                    q[i] += dzi
-                    q[j] += dzj
-                    points.append(q)
-                    weights.append(wi * wj)
-            spans.append((i, j, start, len(points)))
-    logdet = _log_det_batch(params, np.asarray(points))
-    w = np.asarray(weights)
-    ricci = np.empty((m, m), dtype=complex)
-    for i, j, start, stop in spans:
-        ricci[i, j] = -np.sum(w[start:stop] * logdet[start:stop])
-    return ricci
+            for si, sj, _ in nested:
+                q = z.copy()
+                q[i] += si * h[i]
+                q[j] += sj * h[j]
+                points.append(q)
+    logdet = _log_det_batch(params, np.asarray(points)).reshape(m, m, len(nested))
+    weights = np.array([w for _, _, w in nested])
+    return -(logdet @ weights) / (576.0 * np.outer(h, h))
 
 
 def sample_points(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch
 from .exact import ComplexRational, ZERO, _coerce
 from .geometry import (
@@ -19,7 +21,7 @@ from .geometry import (
     radial_profile,
     wirtinger,
 )
-from .symplectic import TangentVector, _holo_components
+from .symplectic import TangentVector, hamiltonian_field
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,13 @@ def preserves_polarization(
     constant; the residual is max over components and directions of
     |dbar_b (X_f)^a_holo|.
     """
+    holo = lambda q: np.asarray(hamiltonian_field(f, params, q).holo)
     worst = 0.0
     for p in samples:
-        for a in range(params.m):
-            comp = lambda q, a=a: _holo_components(f, params, q)[a]
-            for b in range(params.m):
-                res = float(abs(wirtinger(comp, p, b, ANTIHOLOMORPHIC)))
-                if res > worst:
-                    worst = res
+        for b in range(params.m):
+            res = float(np.max(np.abs(wirtinger(holo, p, b, ANTIHOLOMORPHIC))))
+            if res > worst:
+                worst = res
     return PolarizationReport(passed=bool(worst <= tol), max_residual=worst)
 
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .errors import DimensionMismatch
 from .exact import ComplexRational, ZERO, _coerce
 from .geometry import OscillatorParams
@@ -32,9 +30,6 @@ class MonomialBasis:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def index_of(self, k: tuple) -> int:
-        return self.indices.index(k)
 
 
 def _compositions(total: int, parts: int):
@@ -68,14 +63,6 @@ class QuantumOperator:
 
     dim: int
     terms: dict
-
-    @property
-    def hbar_power(self) -> int:
-        """The unique hbar power of a homogeneous operator (0 for the zero
-        operator)."""
-        if len(self.terms) > 1:
-            raise ValueError("operator mixes hbar powers")
-        return next(iter(self.terms), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -127,13 +114,6 @@ class QuantumOperator:
             if r == c:
                 total = total + v
         return total
-
-    def to_dense(self, hbar: float = 1.0) -> np.ndarray:
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, mat in self.terms.items():
-            for (r, c), v in mat.items():
-                dense[r, c] += hbar**p * complex(v)
-        return dense
 
     def _check(self, other: "QuantumOperator"):
         if self.dim != other.dim:

@@ -52,13 +52,13 @@ def omega_at(
     return 1j * (Xh @ g @ Ya - Yh @ g @ Xa)
 
 
-def _holo_components(f: ScalarField, params: OscillatorParams, p: PhasePoint) -> np.ndarray:
-    """Holomorphic components of X_f: i * sum_b ginv[b][a] dbar_b f."""
-    g_inv = metric_at(params, p).g_inv
-    dbar = np.array(
-        [wirtinger(f, p, b, ANTIHOLOMORPHIC) for b in range(params.m)], dtype=complex
-    )
-    return 1j * (g_inv.T @ dbar)
+def _gradient(f: ScalarField, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(d f, dbar f) at p: the Wirtinger derivatives along each coordinate,
+    stacked on the first axis (a further axis for an array-valued f)."""
+    m = len(p.z)
+    d = np.array([wirtinger(f, p, a, HOLOMORPHIC) for a in range(m)])
+    dbar = np.array([wirtinger(f, p, a, ANTIHOLOMORPHIC) for a in range(m)])
+    return d, dbar
 
 
 def hamiltonian_field(
@@ -70,50 +70,38 @@ def hamiltonian_field(
     with the Wirtinger derivatives taken numerically.
     """
     g_inv = metric_at(params, p).g_inv
-    d = np.array([wirtinger(f, p, a, HOLOMORPHIC) for a in range(params.m)], dtype=complex)
-    dbar = np.array(
-        [wirtinger(f, p, b, ANTIHOLOMORPHIC) for b in range(params.m)], dtype=complex
-    )
-    holo = 1j * (g_inv.T @ dbar)
-    anti = -1j * (g_inv @ d)
-    return TangentVector(holo, anti)
+    d, dbar = _gradient(f, p)
+    return TangentVector(1j * (g_inv.T @ dbar), -1j * (g_inv @ d))
 
 
 def poisson_bracket(
     f: ScalarField, g: ScalarField, params: OscillatorParams, p: PhasePoint
 ) -> complex:
-    """{f, g}(p) = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g) = X_f(g)(p)."""
-    g_inv = metric_at(params, p).g_inv
-    m = params.m
-    df = np.array([wirtinger(f, p, a, HOLOMORPHIC) for a in range(m)], dtype=complex)
-    dbf = np.array([wirtinger(f, p, b, ANTIHOLOMORPHIC) for b in range(m)], dtype=complex)
-    dg = np.array([wirtinger(g, p, a, HOLOMORPHIC) for a in range(m)], dtype=complex)
-    dbg = np.array([wirtinger(g, p, b, ANTIHOLOMORPHIC) for b in range(m)], dtype=complex)
-    return 1j * (dbf @ g_inv @ dg - dbg @ g_inv @ df).item()
+    """{f, g}(p) = X_f(g)(p) = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g)."""
+    return apply_field(lambda q: hamiltonian_field(f, params, q), g, p)
 
 
-def apply_field(X: VectorField, h: ScalarField, p: PhasePoint) -> complex:
-    """Directional derivative X(h)(p) = X^a d_a h + Xbar^b dbar_b h."""
+def apply_field(X: VectorField, h: ScalarField, p: PhasePoint) -> complex | np.ndarray:
+    """Directional derivative X(h)(p) = X^a d_a h + Xbar^b dbar_b h; an
+    array-valued h is differentiated componentwise."""
     Xp = X(p)
-    total = 0.0 + 0.0j
-    for a in range(len(p.z)):
-        total += Xp.holo[a] * wirtinger(h, p, a, HOLOMORPHIC)
-        total += Xp.anti[a] * wirtinger(h, p, a, ANTIHOLOMORPHIC)
-    return total
+    d, dbar = _gradient(h, p)
+    return np.asarray(Xp.holo) @ d + np.asarray(Xp.anti) @ dbar
+
+
+def _stacked(V: VectorField) -> ScalarField:
+    """The components (holo, anti) of V as one array-valued field."""
+
+    def components(q: PhasePoint) -> np.ndarray:
+        v = V(q)
+        return np.array(v.holo + v.anti)
+
+    return components
 
 
 def lie_bracket_fields(X: VectorField, Y: VectorField, p: PhasePoint) -> TangentVector:
     """Commutator [X, Y] at p, componentwise X(Y^k) - Y(X^k) by numerical
     directional differentiation of the component functions."""
     m = len(p.z)
-    holo = [
-        apply_field(X, lambda q, k=k: Y(q).holo[k], p)
-        - apply_field(Y, lambda q, k=k: X(q).holo[k], p)
-        for k in range(m)
-    ]
-    anti = [
-        apply_field(X, lambda q, k=k: Y(q).anti[k], p)
-        - apply_field(Y, lambda q, k=k: X(q).anti[k], p)
-        for k in range(m)
-    ]
-    return TangentVector(holo, anti)
+    c = apply_field(X, _stacked(Y), p) - apply_field(Y, _stacked(X), p)
+    return TangentVector(c[:m], c[m:])

@@ -1,8 +1,10 @@
+import io
 import json
+import math
 
 import pytest
 
-from genosc.cli import main
+from genosc.cli import _render_json, main
 
 
 def run(capsys, *argv):
@@ -61,8 +63,45 @@ class TestVerify:
         args = ("verify", "--m", "2", "--a", "1", "--samples", "15", "--seed", "7")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
-        _, multi, _ = run(capsys, *args, "--workers", "3")
-        assert first == second == multi
+        assert first == second
+
+    def test_unknown_flag_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1", "--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", ""])
+    def test_bad_env_tolerance_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GENOSC_TOL_DET", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1"])
+        assert exc.value.code == 2
+        assert "GENOSC_TOL_DET" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-det", "--tol-polarization"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_flag_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1", flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--hbar", "abc"],
+            ["--hbar", "0"],
+            ["--hbar", "1/0"],
+            ["--a", "nan"],
+            ["--margin", "nan"],
+            ["--margin", "inf"],
+        ],
+    )
+    def test_bad_params_exit_2(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1", *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSpectrum:
@@ -145,3 +184,54 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--m", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("hbar", ["abc", "0"])
+    def test_bad_hbar_exit_2(self, capsys, monkeypatch, hbar):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0]]"))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", "--hbar", hbar, "--metric"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            "{bad",
+            '{"coeff": 5}',
+            '{"coeff": [[[1,0],[0,0]]]}',
+            '{"coeff": [[["x",0],[0,0]],[[0,0],[0,0]]]}',
+            '{"coeff": [[[1,0],[0,0]],[[0,0],[0,0]]], "constant": 5}',
+            "[1]",
+        ],
+    )
+    def test_malformed_element_exit_2(self, capsys, monkeypatch, element):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0]]"))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", "--element", element])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--element" in out.err
+
+    @pytest.mark.parametrize(
+        "point", ["[[1e308, 0], [1e308, 0]]", "[[NaN, 0], [1, 0]]", "[[1, Infinity], [1, 0]]"]
+    )
+    @pytest.mark.parametrize(
+        "mode", [["--metric"], ["--element", '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}']]
+    )
+    def test_non_finite_point_exit_2(self, capsys, monkeypatch, point, mode):
+        monkeypatch.setattr("sys.stdin", io.StringIO(point))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", *mode])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestRenderJson:
+    def test_finite_values(self):
+        text = _render_json({"x": 0.1, "n": [1, True, None], "s": "a"})
+        assert text == '{"x": 0.10000000000000001, "n": [1, true, null], "s": "a"}'
+        assert json.loads(text)["x"] == 0.1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            _render_json({"residuals": [1.0, value]})

@@ -108,6 +108,27 @@ class TestWirtinger:
         with pytest.raises(DomainError):
             wirtinger(lambda p: p.r, near_boundary, 0, HOLOMORPHIC, params=params)
 
+    @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
+    def test_array_field_matches_componentwise(self, kind):
+        comps = [lambda p: p.z[0] ** 2 * p.z[1].conjugate(), lambda p: p.r, lambda p: 3.0]
+        field = lambda p: np.array([f(p) for f in comps])
+        point = PhasePoint([0.7 - 0.2j, 1.3 + 0.5j])
+        for index in range(2):
+            got = wirtinger(field, point, index, kind)
+            want = [wirtinger(f, point, index, kind) for f in comps]
+            # equal up to the last bit: numpy divides by a reciprocal
+            assert got.shape == (3,)
+            assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
+    @pytest.mark.parametrize("value", [5.0, 0.1, 2.0 / 3.0 - 1.7j, -1e300 + 1e-300j])
+    def test_constant_is_exactly_zero(self, kind, value):
+        point = PhasePoint([1.3 + 0.4j, -2.2j])
+        for index in range(2):
+            assert wirtinger(lambda p: value, point, index, kind) == 0
+            got = wirtinger(lambda p: np.array([value, 1.0]), point, index, kind)
+            assert np.array_equal(got, [0, 0])
+
     def test_bad_kind_and_index(self):
         with pytest.raises(ValueError):
             wirtinger(lambda p: p.r, PhasePoint([1, 1]), 0, "mixed")

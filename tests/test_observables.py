@@ -15,11 +15,14 @@ from genosc import (
     basis_decomposition,
     closed_form_field,
     evaluate,
+    hamiltonian_field,
     poisson_bracket,
     preserves_polarization,
     sample_points,
     structure_bracket,
+    wirtinger,
 )
+from genosc.geometry import ANTIHOLOMORPHIC
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
 P2_CURVED = OscillatorParams(m=2, a=1.0)
@@ -169,6 +172,30 @@ class TestPolarization:
         )
         assert not report.passed
         assert report.max_residual == pytest.approx(2.0, rel=1e-5)
+
+    @pytest.mark.parametrize("params", [P2_CURVED, OscillatorParams(m=3, a=0.8)])
+    def test_residual_matches_per_component_oracle(self, params):
+        m = params.m
+        samples = sample_points(params, 3, seed=43)
+        fields = [
+            AlgebraElement.basis(m, 0, m - 1).as_field(params),
+            lambda p: p.z[0] * p.z[m - 1] ** 2,
+            lambda p: p.z[0].conjugate() ** 2,
+        ]
+        for f in fields:
+            oracle = max(
+                abs(
+                    wirtinger(
+                        lambda q, a=a: hamiltonian_field(f, params, q).holo[a],
+                        p, b, ANTIHOLOMORPHIC,
+                    )
+                )
+                for p in samples
+                for a in range(m)
+                for b in range(m)
+            )
+            got = preserves_polarization(f, params, samples, tol=1e-5).max_residual
+            assert got == pytest.approx(oracle, rel=1e-12)
 
 
 class TestDecomposition:

@@ -18,6 +18,7 @@ from genosc import (
     wirtinger,
 )
 from genosc.geometry import ANTIHOLOMORPHIC, HOLOMORPHIC
+from genosc.symplectic import apply_field
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
 P2_CURVED = OscillatorParams(m=2, a=1.0)
@@ -142,6 +143,16 @@ class TestPoissonBracket:
                 + poisson_bracket(lambda q: poisson_bracket(h, f, P2_CURVED, q), g, P2_CURVED, p)
             )
             assert abs(total) < 1e-5
+
+
+class TestApplyField:
+    def test_array_field_matches_componentwise(self):
+        X = lambda p: closed_form_field(0, 1, p)
+        comps = [n_field(P2_CURVED, 1, 0), lambda p: p.z[0] * p.z[1].conjugate()]
+        for p in sample_points(P2_CURVED, 3, seed=41):
+            got = apply_field(X, lambda q: np.array([f(q) for f in comps]), p)
+            want = [apply_field(X, f, p) for f in comps]
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 class TestLieBracket:
