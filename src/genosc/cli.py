@@ -33,7 +33,7 @@ from .geometry import OscillatorParams, PhasePoint, metric_at, radial_profile, s
 from .observables import AlgebraElement, evaluate
 from .quantization import dirac_residual, spectrum_of_H
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_TOLERANCES = {
     "det": 1e-10,
@@ -97,13 +97,10 @@ def _tolerances(args) -> dict:
 
 
 def _params(args, parser) -> OscillatorParams:
-    """OscillatorParams from --m, --a and --hbar; a bad value is a usage error."""
+    """OscillatorParams from --m and --a; a non-finite --a is a usage error."""
     if not math.isfinite(args.a):
         parser.error(f"--a must be finite, got {args.a}")
-    try:
-        return OscillatorParams(m=args.m, a=args.a, hbar=Fraction(args.hbar))
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"--hbar must be a positive fraction such as 1/2: {exc}")
+    return OscillatorParams(m=args.m, a=args.a)
 
 
 def _cmd_verify(args, parser) -> int:
@@ -118,18 +115,23 @@ def _cmd_verify(args, parser) -> int:
         tols = _tolerances(args)
     except ValueError as exc:
         parser.error(str(exc))
-    points = sample_points(params, args.samples, args.seed, args.margin)
-
-    residuals = {
-        "det": det_residual(params, points),
-        "inverse": inverse_residual(params, points),
-        "ricci": ricci_residual(params, points),
-        "field": field_residual(params, points),
-        "bracket": bracket_residual(params, points),
-    }
-    pol, control = polarization_residuals(
-        params, points, tols["polarization"], poly_seed=args.seed
-    )
+    # Points have scale max(1, |a|): a large |a| or m overflows r or its powers.
+    try:
+        points = sample_points(params, args.samples, args.seed, args.margin)
+        if not all(math.isfinite(p.r) for p in points):
+            raise OverflowError
+        residuals = {
+            "det": det_residual(params, points),
+            "inverse": inverse_residual(params, points),
+            "ricci": ricci_residual(params, points),
+            "field": field_residual(params, points),
+            "bracket": bracket_residual(params, points),
+        }
+        pol, control = polarization_residuals(
+            params, points, tols["polarization"], poly_seed=args.seed
+        )
+    except OverflowError:
+        parser.error(f"--a {args.a:g} is too large at --m {args.m}: r^m overflows a float")
     residuals["polarization"] = pol
     residuals["polarization_negative_control"] = control
 
@@ -172,7 +174,7 @@ def _cmd_verify(args, parser) -> int:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "params": {"m": args.m, "a": args.a, "hbar": args.hbar, "strict_paper": False},
+        "params": {"m": args.m, "a": args.a},
         "seed": args.seed,
         "n_samples": args.samples,
         "margin": args.margin,
@@ -229,8 +231,8 @@ def _cmd_dirac(args, parser) -> int:
         parser.error("--l must be >= 0")
     n_pairs = args.m**4
     if n_pairs > args.pair_budget:
-        sys.stderr.write(
-            f"warning: {n_pairs} basis pairs exceed budget {args.pair_budget}\n"
+        parser.error(
+            f"--m {args.m} has {n_pairs} basis pairs, over --pair-budget {args.pair_budget}"
         )
     m = args.m
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
@@ -321,6 +323,10 @@ def _cmd_eval(args, parser) -> int:
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(report)
         return 1
+    except OverflowError:
+        parser.error(
+            f"r = {point.r:g} or --a {args.a:g} is too large: r^m or a^m overflows a float"
+        )
     _emit(report)
     return 0
 
@@ -338,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--margin", type=float, default=0.1)
-    p_verify.add_argument("--hbar", default="1", help="hbar as an exact fraction, e.g. 1/2")
     for name in DEFAULT_TOLERANCES:
         p_verify.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
     p_verify.set_defaults(func=_cmd_verify)
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dirac = sub.add_parser("dirac", help="exhaustive exact Dirac-condition check")
     p_dirac.add_argument("--m", type=int, required=True)
     p_dirac.add_argument("--l", type=int, required=True)
-    p_dirac.add_argument("--pair-budget", type=int, default=4096)
+    p_dirac.add_argument("--pair-budget", type=int, default=4096, help="max m^4, else exit 2")
     p_dirac.set_defaults(func=_cmd_dirac)
 
     p_eval = sub.add_parser(
@@ -360,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--m", type=int, required=True)
     p_eval.add_argument("--a", type=float, default=0.0)
-    p_eval.add_argument("--hbar", default="1")
     p_eval.add_argument("--metric", action="store_true", help="emit metric data")
     p_eval.add_argument(
         "--element",

@@ -10,7 +10,6 @@ used to cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,24 +46,17 @@ _MAX_REJECTIONS = 10_000
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Global configuration: complex dimension m, deformation a, and hbar.
+    """Global configuration: complex dimension m >= 1 and deformation a.
 
-    ``strict_paper`` restricts m to even values (the real dimension 4n case);
-    the geometry is well defined for every m >= 1.
+    hbar is not a parameter: quantization carries it as a symbolic unit.
     """
 
     m: int
     a: float = 0.0
-    hbar: Fraction = Fraction(1)
-    strict_paper: bool = False
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if self.strict_paper and self.m % 2 != 0:
-            raise ValueError(f"strict_paper requires even m, got {self.m}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
 @dataclass(frozen=True)

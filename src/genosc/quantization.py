@@ -2,14 +2,19 @@
 
 The quantization map sends N^{ab'} to hbar (z^a d/dz^b + delta_ab / 2) and
 constants to themselves; it preserves polynomial degree, so operators are
-built blockwise on the degree-l monomial basis.  All arithmetic is exact
-complex-rational with hbar tracked as a symbolic unit.
+built blockwise on the degree-l monomial basis.  On a monomial z^k,
+2 Q(N^{ab'}) / hbar gives the integer (2 k_b + delta_ab) times the monomial
+z^{k - e_b + e_a}: a weighted partial permutation of the basis.  Operators
+are sums of such permutations with exact complex-rational coefficients and a
+symbolic power of hbar, and every matrix entry is read out exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+
+import numpy as np
 
 from .errors import DimensionMismatch
 from .exact import ComplexRational, ZERO, _coerce
@@ -51,130 +56,121 @@ def monomial_basis(m: int, l: int) -> MonomialBasis:
     return MonomialBasis(m=m, l=l, indices=tuple(indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumOperator:
-    """Sparse exact operator on a degree-l monomial basis.
+    """Exact operator on a degree-l monomial basis, as a sum of terms.
 
-    ``terms`` maps an hbar power to a sparse matrix {(row, col): value}; the
-    operator is sum_p hbar^p terms[p].  Operators arising from quantization of
-    a single algebra element are homogeneous of power 0 (constants) or 1
-    (N-span); commutators and Dirac residuals live at power 2.
+    A term ``(power, coeff, target, weight)`` is hbar^power coeff P, where the
+    weighted partial permutation P sends basis vector j to weight[j] times
+    basis vector target[j]; ``weight`` holds Python ints, so it never wraps.
+    Products of such P are again such P:
+    (P1 P2) e_j = weight2[j] weight1[target2[j]] e_{target1[target2[j]]},
+    so sums, scalar multiples and products need no per-entry arithmetic.
     """
 
     dim: int
-    terms: dict
+    terms: tuple
+
+    def matrix(self, power: int) -> dict:
+        """The hbar^power part as {(row, col): value}, exact zeros dropped.
+
+        Coefficients are brought to a common denominator, so entries are
+        summed in integers.
+        """
+        terms = [(c, t, w) for p, c, t, w in self.terms if p == power]
+        den = lcm(*(x.denominator for c, _, _ in terms for x in (c.re, c.im)))
+        re: dict = {}
+        im: dict = {}
+        for c, target, weight in terms:
+            c_re, c_im = int(c.re * den), int(c.im * den)
+            for col, (row, w) in enumerate(zip(target.tolist(), weight.tolist())):
+                if w:
+                    re[row, col] = re.get((row, col), 0) + w * c_re
+                    im[row, col] = im.get((row, col), 0) + w * c_im
+        return {
+            rc: ComplexRational(Fraction(x, den), Fraction(im[rc], den))
+            for rc, x in re.items()
+            if x or im[rc]
+        }
 
     @property
     def is_zero(self) -> bool:
-        return all(not any(m.values()) for m in self.terms.values())
+        return not any(self.matrix(p) for p in {t[0] for t in self.terms})
 
     def entry(self, row: int, col: int, power: int) -> ComplexRational:
-        return self.terms.get(power, {}).get((row, col), ZERO)
+        return self.matrix(power).get((row, col), ZERO)
+
+    def trace(self, power: int) -> ComplexRational:
+        diagonal = [v for (r, c), v in self.matrix(power).items() if r == c]
+        return sum(diagonal, ZERO)
 
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
         self._check(other)
-        terms = {p: dict(m) for p, m in self.terms.items()}
-        for p, mat in other.terms.items():
-            dst = terms.setdefault(p, {})
-            for rc, v in mat.items():
-                dst[rc] = dst.get(rc, ZERO) + v
-        return QuantumOperator(self.dim, _prune(terms))
+        return QuantumOperator(self.dim, self.terms + other.terms)
 
     def __sub__(self, other: "QuantumOperator") -> "QuantumOperator":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "QuantumOperator":
         s = _coerce(scalar)
-        return QuantumOperator(
-            self.dim,
-            _prune({p: {rc: s * v for rc, v in m.items()} for p, m in self.terms.items()}),
-        )
+        terms = tuple((p, s * c, t, w) for p, c, t, w in self.terms) if s else ()
+        return QuantumOperator(self.dim, terms)
 
     def shift_hbar(self, by: int) -> "QuantumOperator":
-        return QuantumOperator(self.dim, {p + by: dict(m) for p, m in self.terms.items()})
+        return QuantumOperator(self.dim, tuple((p + by, c, t, w) for p, c, t, w in self.terms))
 
     def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
         self._check(other)
-        out: dict = {}
-        grouped = {p: _by_row(mat) for p, mat in other.terms.items()}
-        for p1, m1 in self.terms.items():
-            for p2, rows in grouped.items():
-                dst = out.setdefault(p1 + p2, {})
-                for (r, c), v in m1.items():
-                    for c2, v2 in rows.get(c, {}).items():
-                        dst[(r, c2)] = dst.get((r, c2), ZERO) + v * v2
-        return QuantumOperator(self.dim, _prune(out))
+        return QuantumOperator(
+            self.dim,
+            tuple(
+                (p1 + p2, c1 * c2, t1[t2], w2 * w1[t2])
+                for p1, c1, t1, w1 in self.terms
+                for p2, c2, t2, w2 in other.terms
+            ),
+        )
 
     def commutator(self, other: "QuantumOperator") -> "QuantumOperator":
         return self @ other - other @ self
-
-    def trace(self, power: int) -> ComplexRational:
-        total = ZERO
-        for (r, c), v in self.terms.get(power, {}).items():
-            if r == c:
-                total = total + v
-        return total
 
     def _check(self, other: "QuantumOperator"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"operators of dim {self.dim} and {other.dim}")
 
 
-def _by_row(mat: dict) -> dict:
-    rows: dict = {}
-    for (r, c), v in mat.items():
-        rows.setdefault(r, {})[c] = v
-    return rows
-
-
-def _prune(terms: dict) -> dict:
-    out = {}
-    for p in sorted(terms):
-        mat = {rc: v for rc, v in terms[p].items() if v}
-        if mat:
-            out[p] = mat
-    return out
-
-
 def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     """Build the exact operator of e on the degree-l monomial basis.
 
     On a monomial z^k the (a, b) coefficient contributes
-    hbar (k_b + delta_ab / 2) to z^{k - e_b + e_a}; the constant term is a
-    multiple of the identity at hbar power 0.
+    hbar (k_b + delta_ab / 2) to z^{k - e_b + e_a}, one term per nonzero
+    coefficient; the constant term is a multiple of the identity at hbar
+    power 0.  Targets are found by binary search on the mixed-radix key
+    sum_i k_i (l+1)^i, in which the graded reverse-lex basis is ascending.
     """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    basis = monomial_basis(e.m, l)
-    pos = {k: i for i, k in enumerate(basis.indices)}
+    m = e.m
+    basis = monomial_basis(m, l)
+    k = np.array(basis.indices, dtype=object).reshape(basis.size, m)
+    radix = np.array([(l + 1) ** i for i in range(m)], dtype=object)
+    keys = k.dot(radix)
+    identity = np.arange(basis.size)
     half = Fraction(1, 2)
-    mat1: dict = {}
-    for col, k in enumerate(basis.indices):
-        for a in range(e.m):
-            for b in range(e.m):
-                c = e.coeff[a][b]
-                if not c:
-                    continue
-                factor = Fraction(k[b]) + (half if a == b else 0)
-                if factor == 0:
-                    continue
-                if a == b:
-                    target = k
-                else:
-                    if k[b] == 0:
-                        continue
-                    kk = list(k)
-                    kk[b] -= 1
-                    kk[a] += 1
-                    target = tuple(kk)
-                row = pos[target]
-                mat1[(row, col)] = mat1.get((row, col), ZERO) + factor * c
-    terms: dict = {}
-    if any(mat1.values()):
-        terms[1] = mat1
+    terms = []
     if e.constant:
-        terms[0] = {(i, i): e.constant for i in range(basis.size)}
-    return QuantumOperator(basis.size, _prune(terms))
+        terms.append((0, e.constant, identity, np.ones(basis.size, dtype=object)))
+    for a in range(m):
+        for b in range(m):
+            c = e.coeff[a][b]
+            if not c:
+                continue
+            if a == b:
+                target = identity
+            else:
+                moved = np.searchsorted(keys, keys - radix[b] + radix[a])
+                target = np.where(k[:, b] > 0, moved, identity)
+            terms.append((1, c * half, target, 2 * k[:, b] + (a == b)))
+    return QuantumOperator(basis.size, tuple(terms))
 
 
 def dirac_residual(e1: AlgebraElement, e2: AlgebraElement, l: int) -> QuantumOperator:
@@ -202,14 +198,11 @@ def spectrum_of_H(params: OscillatorParams, l: int) -> SpectralLine:
     op = quantize(AlgebraElement.hamiltonian(m), l)
     expected = ComplexRational.of(Fraction(2 * l + m, 2))
     dim = comb(l + m - 1, m - 1)
-    mat = op.terms.get(1, {})
-    for r in range(dim):
-        for c in range(dim):
-            want = expected if r == c else ZERO
-            if mat.get((r, c), ZERO) != want:
-                raise AssertionError(
-                    f"Q(H) is not (l + m/2) hbar x identity at entry ({r}, {c})"
-                )
-    if set(op.terms) != {1}:
+    mat = op.matrix(1)
+    want = {(i, i): expected for i in range(dim)}
+    if mat != want:
+        r, c = min(rc for rc in mat.keys() | want.keys() if mat.get(rc) != want.get(rc))
+        raise AssertionError(f"Q(H) is not (l + m/2) hbar x identity at entry ({r}, {c})")
+    if any(op.matrix(p) for p in {t[0] for t in op.terms} - {1}):
         raise AssertionError("Q(H) has terms at unexpected hbar powers")
     return SpectralLine(l=l, eigenvalue=Fraction(2 * l + m, 2), multiplicity=dim)

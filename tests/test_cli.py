@@ -22,7 +22,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is True
         assert report["residuals"]["det"] <= 1e-12
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
 
     def test_curved_pass(self, capsys):
         code, out, _ = run(
@@ -103,6 +103,21 @@ class TestVerify:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_params_are_m_and_a(self, capsys):
+        _, out, _ = run(capsys, "verify", "--m", "2", "--a", "0.5", "--samples", "1")
+        assert json.loads(out)["params"] == {"m": 2, "a": 0.5}
+
+    # 1e200 overflows a^m, 1e100 the sampled r^m; at m = 1, 1e200 makes
+    # numpy's r = sum |z|^2 inf rather than raise.
+    @pytest.mark.parametrize("m, a", [("2", "1e200"), ("2", "1e100"), ("1", "1e200")])
+    def test_overflowing_a_exit_2(self, capsys, m, a):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", m, "--a", a, "--samples", "1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--a {float(a):g}" in out.err and "overflows" in out.err
+
 
 class TestSpectrum:
     def test_rows(self, capsys):
@@ -146,10 +161,18 @@ class TestDirac:
         assert code == 0
         assert json.loads(out)["pairs_checked"] == 1
 
-    def test_budget_warning(self, capsys):
-        code, out, err = run(capsys, "dirac", "--m", "2", "--l", "1", "--pair-budget", "4")
+    def test_over_budget_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "--m", "2", "--l", "1", "--pair-budget", "4"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "16 basis pairs" in out.err and "--pair-budget 4" in out.err
+
+    def test_at_budget_runs(self, capsys):
+        code, out, _ = run(capsys, "dirac", "--m", "2", "--l", "1", "--pair-budget", "16")
         assert code == 0
-        assert "warning" in err
+        assert json.loads(out)["pairs_checked"] == 16
 
 
 class TestEval:
@@ -223,6 +246,16 @@ class TestEval:
             main(["eval", "--m", "2", "--a", "1", *mode])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_overflowing_point_exit_2(self, capsys, monkeypatch):
+        # r = 1e300 is finite, r^2 is not
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1e150, 0], [1, 0]]"))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", "--metric"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "r = 1e+300" in out.err and "overflows" in out.err
 
 
 class TestRenderJson:

@@ -181,9 +181,6 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             OscillatorParams(m=0)
-        with pytest.raises(ValueError):
-            OscillatorParams(m=3, strict_paper=True)
-        OscillatorParams(m=4, strict_paper=True)
 
     def test_r_is_recomputed(self):
         p = PhasePoint([1j, 2])

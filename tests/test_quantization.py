@@ -63,11 +63,13 @@ class TestQuantize:
     def test_off_diagonal_basis_element(self):
         op = quantize(AlgebraElement.basis(2, 0, 1), 1)
         # z^0 d_1 maps (0,1) to (1,0) with unit coefficient
-        assert op.terms == {1: {(0, 1): ComplexRational.of(1)}}
+        assert op.matrix(1) == {(0, 1): ComplexRational.of(1)}
+        assert op.matrix(0) == {}
 
     def test_constant_is_identity(self):
         op = quantize(AlgebraElement.const(2, 7), 2)
-        assert op.terms == {0: {(i, i): ComplexRational.of(7) for i in range(3)}}
+        assert op.matrix(0) == {(i, i): ComplexRational.of(7) for i in range(3)}
+        assert op.matrix(1) == {}
 
     def test_degree_preservation(self):
         # every entry connects same-degree monomials by construction; the
@@ -78,7 +80,7 @@ class TestQuantize:
                 for b in range(m):
                     op = quantize(AlgebraElement.basis(m, a, b), l)
                     assert op.dim == basis.size
-                    for (r, c) in op.terms.get(1, {}):
+                    for (r, c) in op.matrix(1):
                         assert sum(basis.indices[r]) == sum(basis.indices[c]) == l
 
     @settings(max_examples=20, deadline=None)
@@ -109,8 +111,113 @@ class TestQuantize:
 
     def test_entries_are_half_integers_for_basis_elements(self):
         op = quantize(AlgebraElement.basis(3, 1, 1), 3)
-        for v in op.terms[1].values():
+        mat = op.matrix(1)
+        assert mat
+        for v in mat.values():
             assert (2 * v.re).denominator == 1 and v.im == 0
+
+
+def formula_matrices(e, l):
+    """Q(e) entry by entry from the quantization formula, as {power: {(row,
+    col): value}} without zeros: on z^k, hbar c_ab (k_b + delta_ab / 2) to
+    z^{k - e_b + e_a}, and the constant times the identity."""
+    basis = monomial_basis(e.m, l).indices
+    out = {0: {}, 1: {}}
+    for col, k in enumerate(basis):
+        if e.constant:
+            out[0][col, col] = e.constant
+        for a in range(e.m):
+            for b in range(e.m):
+                target = list(k)
+                target[b] -= 1
+                target[a] += 1
+                if min(target) < 0:
+                    continue
+                rc = (basis.index(tuple(target)), col)
+                value = e.coeff[a][b] * (Fraction(k[b]) + (HALF if a == b else 0))
+                out[1][rc] = out[1].get(rc, ComplexRational()) + value
+    return {p: {rc: v for rc, v in mat.items() if v} for p, mat in out.items()}
+
+
+def dense(mat, dim):
+    return [[mat.get((r, c), ComplexRational()) for c in range(dim)] for r in range(dim)]
+
+
+def dense_matmul(x, y):
+    n = len(x)
+    return [
+        [sum((x[r][j] * y[j][c] for j in range(n)), ComplexRational()) for c in range(n)]
+        for r in range(n)
+    ]
+
+
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+complex_rational = st.one_of(
+    st.just(ComplexRational()),
+    st.builds(ComplexRational.of, small_rational, small_rational),
+)
+
+
+@st.composite
+def elements(draw, m):
+    coeff = [[draw(complex_rational) for _ in range(m)] for _ in range(m)]
+    return AlgebraElement(coeff, draw(complex_rational))
+
+
+SHAPES = [(1, 3), (2, 3), (3, 2)]
+
+
+class TestOperatorAlgebra:
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_quantize_matches_formula(self, m, l, data):
+        e = data.draw(elements(m))
+        op = quantize(e, l)
+        want = formula_matrices(e, l)
+        assert op.matrix(0) == want[0]
+        assert op.matrix(1) == want[1]
+        assert op.matrix(2) == {}
+
+    # dim = binom(l + m - 1, m - 1) <= 10 in every case
+    @pytest.mark.parametrize("m, l", SHAPES + [(2, 9), (3, 3), (4, 1)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_commutator_matches_dense_matmul(self, m, l, data):
+        e1, e2 = data.draw(elements(m)), data.draw(elements(m))
+        dim = monomial_basis(m, l).size
+        assert dim <= 10
+        x = {p: dense(mat, dim) for p, mat in formula_matrices(e1, l).items()}
+        y = {p: dense(mat, dim) for p, mat in formula_matrices(e2, l).items()}
+        comm = quantize(e1, l).commutator(quantize(e2, l))
+        for power in range(3):
+            want = [[ComplexRational()] * dim for _ in range(dim)]
+            for p in range(power + 1):
+                if p <= 1 and power - p <= 1:
+                    xy = dense_matmul(x[p], y[power - p])
+                    yx = dense_matmul(y[power - p], x[p])
+                    want = [
+                        [want[r][c] + xy[r][c] - yx[r][c] for c in range(dim)]
+                        for r in range(dim)
+                    ]
+            assert dense(comm.matrix(power), dim) == want
+
+    def test_difference_with_itself_is_zero(self):
+        e = AlgebraElement(
+            [[1, ComplexRational.of(2, -1)], [Fraction(1, 3), 5]], ComplexRational.of(0, 4)
+        )
+        q = quantize(e, 3)
+        assert len(q.terms) == 5 and not q.is_zero
+        assert (q - q).is_zero
+        assert (q @ q - q @ q).is_zero
+        assert not (q @ q).is_zero
+
+    def test_annihilated_monomials_stay_in_range(self):
+        # z^1 d_0 kills z^1: its would-be image, exponents (-1, 2), has a key
+        # past the last basis key.  Squared, the operator kills degree 1.
+        op = quantize(AlgebraElement.basis(2, 1, 0), 1)
+        assert op.matrix(1) == {(1, 0): ComplexRational.of(1)}
+        assert (op @ op).is_zero
 
 
 class TestDirac:
