@@ -28,9 +28,7 @@ from .geometry import (
 )
 from .observables import (
     AlgebraElement,
-    ObservableDecomposition,
     PolarizationReport,
-    basis_decomposition,
     closed_form_field,
     evaluate,
     preserves_polarization,
@@ -76,13 +74,11 @@ __all__ = [
     "poisson_bracket",
     "lie_bracket_fields",
     "AlgebraElement",
-    "ObservableDecomposition",
     "PolarizationReport",
     "evaluate",
     "structure_bracket",
     "closed_form_field",
     "preserves_polarization",
-    "basis_decomposition",
     "MonomialBasis",
     "QuantumOperator",
     "SpectralLine",

@@ -18,6 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .campaigns import (
     bracket_residual,
@@ -115,23 +117,27 @@ def _cmd_verify(args, parser) -> int:
         tols = _tolerances(args)
     except ValueError as exc:
         parser.error(str(exc))
-    # Points have scale max(1, |a|): a large |a| or m overflows r or its powers.
+    # Points have scale max(1, |a|): a large |a| or m overflows r or its powers,
+    # either raising on Python floats or, in numpy, turning a product into inf.
     try:
-        points = sample_points(params, args.samples, args.seed, args.margin)
-        if not all(math.isfinite(p.r) for p in points):
-            raise OverflowError
-        residuals = {
-            "det": det_residual(params, points),
-            "inverse": inverse_residual(params, points),
-            "ricci": ricci_residual(params, points),
-            "field": field_residual(params, points),
-            "bracket": bracket_residual(params, points),
-        }
-        pol, control = polarization_residuals(
-            params, points, tols["polarization"], poly_seed=args.seed
+        with np.errstate(over="raise"):
+            points = sample_points(params, args.samples, args.seed, args.margin)
+            if not all(math.isfinite(p.r) for p in points):
+                raise OverflowError
+            residuals = {
+                "det": det_residual(params, points),
+                "inverse": inverse_residual(params, points),
+                "ricci": ricci_residual(params, points),
+                "field": field_residual(params, points),
+                "bracket": bracket_residual(params, points),
+            }
+            pol, control = polarization_residuals(
+                params, points, tols["polarization"], poly_seed=args.seed
+            )
+    except (OverflowError, FloatingPointError):
+        parser.error(
+            f"--a {args.a:g} is too large at --m {args.m}: r^m or the metric overflows a float"
         )
-    except OverflowError:
-        parser.error(f"--a {args.a:g} is too large at --m {args.m}: r^m overflows a float")
     residuals["polarization"] = pol
     residuals["polarization_negative_control"] = control
 

@@ -1,5 +1,5 @@
-"""The observable algebra F(m): exact structure constants, evaluation,
-polarization checks, and decompositions into holomorphic data.
+"""The observable algebra F(m): exact structure constants, evaluation and
+polarization checks.
 
 Elements are complex-rational combinations of the moment-map functions
 N^{ab'} = u' z^a zbar^b plus a constant, with the exact bracket
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import ComplexRational, ZERO, _coerce
+from .exact import I, ComplexRational, ZERO, _coerce
 from .geometry import (
     ANTIHOLOMORPHIC,
     OscillatorParams,
@@ -128,19 +128,28 @@ def structure_bracket(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
 
     Bilinear extension of {N^{ab'}, N^{cd'}} = i(delta_bc N^{ad'} - delta_ad N^{cb'}),
     which collapses to i (C1 C2 - C2 C1) on coefficient matrices; constants are
-    central.
+    central.  Only products of nonzero coefficients are formed, so the bracket
+    of two basis elements costs a few exact operations at any m.
     """
     e1._check(e2)
-    m = e1.m
-    i = ComplexRational.of(0, 1)
-    out = [[ZERO] * m for _ in range(m)]
-    for a in range(m):
-        for d in range(m):
-            acc = ZERO
-            for b in range(m):
-                acc = acc + e1.coeff[a][b] * e2.coeff[b][d] - e2.coeff[a][b] * e1.coeff[b][d]
-            out[a][d] = i * acc
+    forward, backward = _sparse_product(e1, e2), _sparse_product(e2, e1)
+    out = [[ZERO] * e1.m for _ in range(e1.m)]
+    for a, d in forward.keys() | backward.keys():
+        out[a][d] = I * (forward.get((a, d), ZERO) - backward.get((a, d), ZERO))
     return AlgebraElement(out)
+
+
+def _sparse_product(x: AlgebraElement, y: AlgebraElement) -> dict:
+    """The coefficient matrix product X Y as {(a, d): value}, summed over the
+    nonzero pairs x[a][b] y[b][d] only."""
+    rows = [[(d, c) for d, c in enumerate(row) if c] for row in y.coeff]
+    out: dict = {}
+    for a, row in enumerate(x.coeff):
+        for b, c1 in enumerate(row):
+            if c1:
+                for d, c2 in rows[b]:
+                    out[a, d] = out.get((a, d), ZERO) + c1 * c2
+    return out
 
 
 def closed_form_field(alpha: int, beta: int, p: PhasePoint) -> TangentVector:
@@ -182,39 +191,3 @@ def preserves_polarization(
             if res > worst:
                 worst = res
     return PolarizationReport(passed=bool(worst <= tol), max_residual=worst)
-
-
-@dataclass(frozen=True)
-class ObservableDecomposition:
-    """f = u' sum_s zbar^s phi_s(z) + chi(z), with phi_s and chi stored as
-    multi-index -> coefficient maps."""
-
-    phi: tuple
-    chi: dict
-
-    def evaluate(self, params: OscillatorParams, p: PhasePoint) -> complex:
-        u_prime = radial_profile(params, p.r).u_prime
-        total = _eval_poly(self.chi, p.z)
-        for s, poly in enumerate(self.phi):
-            total += u_prime * p.z[s].conjugate() * _eval_poly(poly, p.z)
-        return total
-
-
-def _eval_poly(poly: dict, z: tuple) -> complex:
-    total = 0j
-    for k, c in poly.items():
-        term = complex(c)
-        for a, e in enumerate(k):
-            term *= z[a] ** e
-        total += term
-    return total
-
-
-def basis_decomposition(m: int, alpha: int, beta: int) -> ObservableDecomposition:
-    """Holomorphic decomposition of N^{alpha beta'}: phi_s = z^alpha delta_bs,
-    chi = 0."""
-    if not (0 <= alpha < m and 0 <= beta < m):
-        raise IndexError(f"indices ({alpha}, {beta}) out of range for m = {m}")
-    mono = tuple(1 if a == alpha else 0 for a in range(m))
-    phi = tuple({mono: ComplexRational.of(1)} if s == beta else {} for s in range(m))
-    return ObservableDecomposition(phi=phi, chi={})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 import numpy as np
@@ -46,14 +47,34 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=128)
 def monomial_basis(m: int, l: int) -> MonomialBasis:
-    """Enumerate the degree-l monomial multi-indices; size binom(l+m-1, m-1)."""
+    """Enumerate the degree-l monomial multi-indices; size binom(l+m-1, m-1).
+
+    Cached per (m, l); the result is immutable, so callers share it."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
     indices = sorted(_compositions(l, m), key=lambda k: tuple(reversed(k)))
     return MonomialBasis(m=m, l=l, indices=tuple(indices))
+
+
+@lru_cache(maxsize=128)
+def _basis_tables(m: int, l: int):
+    """The degree-l basis with the arrays quantize reads, cached per (m, l):
+    exponents k (dim x m), the mixed-radix place values (l+1)^i, the keys
+    sum_i k_i (l+1)^i and the identity permutation.  The object arrays hold
+    Python ints, so keys cannot wrap; every array is read-only because
+    callers share it."""
+    basis = monomial_basis(m, l)
+    k = np.array(basis.indices, dtype=object).reshape(basis.size, m)
+    radix = np.array([(l + 1) ** i for i in range(m)], dtype=object)
+    keys = k.dot(radix)
+    identity = np.arange(basis.size)
+    for array in (k, radix, keys, identity):
+        array.flags.writeable = False
+    return basis, k, radix, keys, identity
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +171,7 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
     m = e.m
-    basis = monomial_basis(m, l)
-    k = np.array(basis.indices, dtype=object).reshape(basis.size, m)
-    radix = np.array([(l + 1) ** i for i in range(m)], dtype=object)
-    keys = k.dot(radix)
-    identity = np.arange(basis.size)
+    basis, k, radix, keys, identity = _basis_tables(m, l)
     half = Fraction(1, 2)
     terms = []
     if e.constant:

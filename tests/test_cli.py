@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -108,15 +109,22 @@ class TestVerify:
         assert json.loads(out)["params"] == {"m": 2, "a": 0.5}
 
     # 1e200 overflows a^m, 1e100 the sampled r^m; at m = 1, 1e200 makes
-    # numpy's r = sum |z|^2 inf rather than raise.
-    @pytest.mark.parametrize("m, a", [("2", "1e200"), ("2", "1e100"), ("1", "1e200")])
+    # numpy's r = sum |z|^2 inf rather than raise; 1e70 overflows numpy's
+    # r^2 s^(m-1) inside the metric, which would make u'' silently 0.
+    # Warnings are errors here, so a numpy RuntimeWarning fails the test.
+    @pytest.mark.parametrize(
+        "m, a", [("2", "1e200"), ("2", "1e100"), ("1", "1e200"), ("2", "1e70")]
+    )
     def test_overflowing_a_exit_2(self, capsys, m, a):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", m, "--a", a, "--samples", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--m", m, "--a", a, "--samples", "1"])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert f"--a {float(a):g}" in out.err and "overflows" in out.err
+        assert "Traceback" not in out.err
 
 
 class TestSpectrum:

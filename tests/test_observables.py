@@ -12,7 +12,6 @@ from genosc import (
     DimensionMismatch,
     OscillatorParams,
     PhasePoint,
-    basis_decomposition,
     closed_form_field,
     evaluate,
     hamiltonian_field,
@@ -35,6 +34,44 @@ def elements_strategy(m):
     return st.builds(
         AlgebraElement, st.lists(row, min_size=m, max_size=m), cr
     )
+
+
+@st.composite
+def sparse_elements(draw):
+    """Two elements over one m in 1..4 whose coefficients are zero about half
+    the time, with any (often nonzero) constants."""
+    m = draw(st.integers(1, 4))
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    cr = st.one_of(st.just(ComplexRational()), st.builds(ComplexRational, rat, rat))
+
+    def element():
+        coeff = [[draw(cr) for _ in range(m)] for _ in range(m)]
+        return AlgebraElement(coeff, draw(st.builds(ComplexRational, rat, rat)))
+
+    return element(), element()
+
+
+def dense_bracket(e1, e2):
+    """i (C1 C2 - C2 C1) as (re, im) Fraction pairs, by dense matrix products
+    over every index triple."""
+    m = e1.m
+
+    def product(x, y):
+        out = [[[Fraction(0), Fraction(0)] for _ in range(m)] for _ in range(m)]
+        for a, b, d in itertools.product(range(m), repeat=3):
+            p, q = x.coeff[a][b], y.coeff[b][d]
+            out[a][d][0] += p.re * q.re - p.im * q.im
+            out[a][d][1] += p.re * q.im + p.im * q.re
+        return out
+
+    forward, backward = product(e1, e2), product(e2, e1)
+    return [
+        [
+            (backward[a][d][1] - forward[a][d][1], forward[a][d][0] - backward[a][d][0])
+            for d in range(m)
+        ]
+        for a in range(m)
+    ]
 
 
 class TestEvaluate:
@@ -111,6 +148,26 @@ class TestStructureBracket:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             structure_bracket(AlgebraElement.basis(2, 0, 0), AlgebraElement.basis(3, 0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_elements())
+    def test_matches_dense_fraction_oracle(self, pair):
+        e1, e2 = pair
+        got = structure_bracket(e1, e2)
+        assert [[(c.re, c.im) for c in row] for row in got.coeff] == dense_bracket(e1, e2)
+        assert got.constant == ComplexRational()
+
+    def test_closed_form_on_all_basis_pairs_m3(self):
+        m = 3
+        i = ComplexRational.of(0, 1)
+        for a, b, c, d in itertools.product(range(m), repeat=4):
+            want = AlgebraElement.zero(m)
+            if b == c:
+                want = want + i * AlgebraElement.basis(m, a, d)
+            if a == d:
+                want = want - i * AlgebraElement.basis(m, c, b)
+            got = structure_bracket(AlgebraElement.basis(m, a, b), AlgebraElement.basis(m, c, d))
+            assert got == want, (a, b, c, d)
 
 
 class TestPointwiseAgreement:
@@ -196,31 +253,6 @@ class TestPolarization:
             )
             got = preserves_polarization(f, params, samples, tol=1e-5).max_residual
             assert got == pytest.approx(oracle, rel=1e-12)
-
-
-class TestDecomposition:
-    def test_off_diagonal_structure(self):
-        dec = basis_decomposition(2, 0, 1)
-        assert dec.phi[0] == {}
-        assert dec.phi[1] == {(1, 0): ComplexRational.of(1)}
-        assert dec.chi == {}
-
-    def test_diagonal_structure(self):
-        dec = basis_decomposition(2, 0, 0)
-        assert dec.phi[0] == {(1, 0): ComplexRational.of(1)}
-        assert dec.phi[1] == {}
-
-    def test_reconstruction(self):
-        dec = basis_decomposition(2, 0, 1)
-        e = AlgebraElement.basis(2, 0, 1)
-        for p in sample_points(P2_CURVED, 10, seed=29):
-            assert abs(
-                dec.evaluate(P2_CURVED, p) - evaluate(e, P2_CURVED, p)
-            ) < 1e-9
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            basis_decomposition(2, 2, 0)
 
 
 class TestRealityFlag:

@@ -17,6 +17,7 @@ from genosc import (
     spectrum_of_H,
     structure_bracket,
 )
+from genosc.quantization import _basis_tables
 
 HALF = Fraction(1, 2)
 
@@ -50,6 +51,16 @@ class TestMonomialBasis:
             monomial_basis(0, 1)
         with pytest.raises(ValueError):
             monomial_basis(2, -1)
+
+    def test_cached_per_shape(self):
+        assert monomial_basis(3, 4) is monomial_basis(3, 4)
+
+    def test_cached_tables_are_read_only(self):
+        _, k, radix, keys, identity = _basis_tables(3, 2)
+        for array in (k, radix, keys, identity):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        assert identity.tolist() == list(range(monomial_basis(3, 2).size))
 
 
 class TestQuantize:
@@ -211,6 +222,15 @@ class TestOperatorAlgebra:
         assert (q - q).is_zero
         assert (q @ q - q @ q).is_zero
         assert not (q @ q).is_zero
+
+    def test_repeated_quantize_matches_formula(self):
+        # the second call at the same (m, l) reads the cached basis tables
+        e1 = AlgebraElement([[1, ComplexRational.of(0, 2)], [Fraction(1, 3), 0]], 4)
+        e2 = AlgebraElement([[0, 0], [ComplexRational.of(-1, 1), Fraction(5, 2)]])
+        for e in (e1, e2, e1):
+            op = quantize(e, 4)
+            want = formula_matrices(e, 4)
+            assert (op.matrix(0), op.matrix(1)) == (want[0], want[1])
 
     def test_annihilated_monomials_stay_in_range(self):
         # z^1 d_0 kills z^1: its would-be image, exponents (-1, 2), has a key
