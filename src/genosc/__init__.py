@@ -28,9 +28,9 @@ from .geometry import (
 )
 from .observables import (
     AlgebraElement,
-    PolarizationReport,
     closed_form_field,
     evaluate,
+    moment_map,
     preserves_polarization,
     structure_bracket,
 )
@@ -74,8 +74,8 @@ __all__ = [
     "poisson_bracket",
     "lie_bracket_fields",
     "AlgebraElement",
-    "PolarizationReport",
     "evaluate",
+    "moment_map",
     "structure_bracket",
     "closed_form_field",
     "preserves_polarization",

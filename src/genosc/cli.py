@@ -46,6 +46,17 @@ DEFAULT_TOLERANCES = {
     "polarization": 1e-5,
 }
 
+#: The tolerance-gated verify checks: (check name, key of its residual and of
+#: its tolerance), in report order.
+VERIFY_CHECKS = (
+    ("det", "det"),
+    ("inverse", "inverse"),
+    ("ricci", "ricci"),
+    ("hamiltonian_field_closed_form", "field"),
+    ("bracket_consistency", "bracket"),
+    ("polarization", "polarization"),
+)
+
 ENV_PREFIX = "GENOSC_"
 
 
@@ -131,9 +142,7 @@ def _cmd_verify(args, parser) -> int:
                 "field": field_residual(params, points),
                 "bracket": bracket_residual(params, points),
             }
-            pol, control = polarization_residuals(
-                params, points, tols["polarization"], poly_seed=args.seed
-            )
+            pol, control = polarization_residuals(params, points, poly_seed=args.seed)
     except (OverflowError, FloatingPointError):
         parser.error(
             f"--a {args.a:g} is too large at --m {args.m}: r^m or the metric overflows a float"
@@ -142,24 +151,13 @@ def _cmd_verify(args, parser) -> int:
     residuals["polarization_negative_control"] = control
 
     checks = []
-    for name, tol_key in [
-        ("det", "det"),
-        ("inverse", "inverse"),
-        ("ricci", "ricci"),
-        ("hamiltonian_field_closed_form", "field"),
-        ("bracket_consistency", "bracket"),
-        ("polarization", "polarization"),
-    ]:
-        res_key = {"hamiltonian_field_closed_form": "field", "bracket_consistency": "bracket"}.get(
-            name, name
-        )
-        res = residuals[res_key]
-        ok = res <= tols[tol_key]
+    for name, key in VERIFY_CHECKS:
+        res, tol = residuals[key], tols[key]
         checks.append(
             {
                 "name": name,
-                "pass": ok,
-                "detail": f"max residual {res:.3e}, tolerance {tols[tol_key]:.3e}",
+                "pass": res <= tol,
+                "detail": f"max residual {res:.3e}, tolerance {tol:.3e}",
             }
         )
     ok_control = control >= 1.0

@@ -82,16 +82,16 @@ class PhasePoint:
         z[index] += dz
         return PhasePoint(z)
 
-    def admissible(self, params: OscillatorParams, margin: float = 0.0) -> bool:
-        return self.r ** params.m - params.a ** params.m > margin
+    def admissible(self, params: OscillatorParams) -> bool:
+        return self.r ** params.m - params.a ** params.m > 0
 
-    def require_admissible(self, params: OscillatorParams, margin: float = 0.0):
+    def require_admissible(self, params: OscillatorParams):
         if len(self.z) != params.m:
             raise DomainError(f"point has {len(self.z)} coordinates, expected {params.m}")
-        if not self.admissible(params, margin):
+        if not self.admissible(params):
             raise DomainError(
                 f"inadmissible point: r^m - a^m = {self.r ** params.m - params.a ** params.m:g}"
-                f" (need > {margin:g})"
+                " (need > 0)"
             )
 
 

@@ -18,10 +18,11 @@ from .geometry import (
     OscillatorParams,
     PhasePoint,
     ScalarField,
+    metric_at,
     radial_profile,
     wirtinger,
 )
-from .symplectic import TangentVector, hamiltonian_field
+from .symplectic import TangentVector, _holo_part
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,25 @@ class AlgebraElement:
         return lambda p: evaluate(self, params, p)
 
 
-def evaluate(e: AlgebraElement, params: OscillatorParams, p: PhasePoint) -> complex:
-    """Pointwise value sum c[a][b] u' z^a zbar^b + constant."""
-    if e.m != params.m:
-        raise DimensionMismatch(f"element over m = {e.m}, params have m = {params.m}")
+def moment_map(params: OscillatorParams, p: PhasePoint) -> np.ndarray:
+    """The basis observables at p as one (m, m) array, N[a, b] = u' z^a zbar^b."""
     p.require_admissible(params)
     u_prime = radial_profile(params, p.r).u_prime
+    z = np.asarray(p.z)
+    return u_prime * z[:, None] * np.conj(z)[None, :]
+
+
+def evaluate(e: AlgebraElement, params: OscillatorParams, p: PhasePoint) -> complex:
+    """Pointwise value constant + sum c[a][b] N[a, b] of the moment map N."""
+    if e.m != params.m:
+        raise DimensionMismatch(f"element over m = {e.m}, params have m = {params.m}")
+    N = moment_map(params, p)
     total = complex(e.constant)
-    for a in range(e.m):
-        for b in range(e.m):
-            c = e.coeff[a][b]
+    for a, row in enumerate(e.coeff):
+        for b, c in enumerate(row):
             if c:
-                total += complex(c) * u_prime * p.z[a] * p.z[b].conjugate()
-    return total
+                total += complex(c) * N[a, b]
+    return complex(total)
 
 
 def structure_bracket(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
@@ -165,29 +172,20 @@ def closed_form_field(alpha: int, beta: int, p: PhasePoint) -> TangentVector:
     return TangentVector(holo, anti)
 
 
-@dataclass(frozen=True)
-class PolarizationReport:
-    passed: bool
-    max_residual: float
-
-
 def preserves_polarization(
-    f: ScalarField,
-    params: OscillatorParams,
-    samples: list[PhasePoint],
-    tol: float,
-) -> PolarizationReport:
-    """Test whether f preserves the antiholomorphic polarization.
+    f: ScalarField, params: OscillatorParams, samples: list[PhasePoint]
+) -> float:
+    """Residual of the test whether f preserves the antiholomorphic polarization.
 
     At each sample the holomorphic components of X_f must be antiholomorphically
-    constant; the residual is max over components and directions of
-    |dbar_b (X_f)^a_holo|.
+    constant; the residual is max over samples, components and directions of
+    |dbar_b (X_f)^a_holo|.  An array-valued f is tested entry by entry.
     """
-    holo = lambda q: np.asarray(hamiltonian_field(f, params, q).holo)
+    holo = lambda q: _holo_part(f, metric_at(params, q).g_inv, q)
     worst = 0.0
     for p in samples:
         for b in range(params.m):
             res = float(np.max(np.abs(wirtinger(holo, p, b, ANTIHOLOMORPHIC))))
             if res > worst:
                 worst = res
-    return PolarizationReport(passed=bool(worst <= tol), max_residual=worst)
+    return worst

@@ -113,9 +113,7 @@ def test_criterion_5_polarization():
     for a in (0.0, 1.0):
         params = OscillatorParams(m=2, a=a)
         points = sample_points(params, 50, seed=5000 + int(a))
-        preserved, control = polarization_residuals(
-            params, points, tol=1e-5, poly_seed=5
-        )
+        preserved, control = polarization_residuals(params, points, poly_seed=5)
         worst_pass = max(worst_pass, preserved)
         worst_control = min(worst_control, control)
     ok = worst_pass <= 1e-5 and worst_control >= 1.0

@@ -1,0 +1,52 @@
+import pytest
+
+from genosc import OscillatorParams, sample_points
+from genosc import campaigns
+
+P2_CURVED = OscillatorParams(m=2, a=1.0)
+
+
+def counting(monkeypatch, name):
+    """Replace campaigns.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(campaigns, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(campaigns, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "residual, differentiator",
+    [
+        (campaigns.field_residual, "hamiltonian_field"),
+        (campaigns.bracket_residual, "poisson_bracket"),
+    ],
+)
+def test_one_differentiation_per_point(monkeypatch, residual, differentiator):
+    points = sample_points(P2_CURVED, 3, seed=61)
+    calls = counting(monkeypatch, differentiator)
+    assert residual(P2_CURVED, points) < 1e-7
+    assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bracket_residual_compares_every_pair(monkeypatch, m):
+    # A sign flip in the exact side leaves only the pairs whose bracket is 0
+    # agreeing; any pair left out of the comparison would hide it.
+    params = OscillatorParams(m=m, a=1.0)
+    points = sample_points(params, 2, seed=67)
+    exact = campaigns.structure_bracket
+    monkeypatch.setattr(campaigns, "structure_bracket", lambda e1, e2: (-1) * exact(e1, e2))
+    assert campaigns.bracket_residual(params, points) >= 1e-2
+
+
+def test_polarization_residuals_one_call_per_field_family(monkeypatch):
+    points = sample_points(P2_CURVED, 3, seed=71)
+    calls = counting(monkeypatch, "preserves_polarization")
+    preserved, control = campaigns.polarization_residuals(P2_CURVED, points, poly_seed=3)
+    assert len(calls) == 2
+    assert preserved <= 1e-5 and control >= 1.0

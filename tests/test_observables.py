@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,13 @@ from genosc import (
     AlgebraElement,
     ComplexRational,
     DimensionMismatch,
+    DomainError,
     OscillatorParams,
     PhasePoint,
     closed_form_field,
     evaluate,
     hamiltonian_field,
+    moment_map,
     poisson_bracket,
     preserves_polarization,
     sample_points,
@@ -91,6 +94,47 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             evaluate(AlgebraElement.basis(3, 0, 0), P2_FLAT, PhasePoint([1, 1]))
+
+
+MOMENT_MAP_PARAMS = [OscillatorParams(m=m, a=a) for m in (2, 3) for a in (0.0, 1.0)]
+
+
+class TestMomentMap:
+    @pytest.mark.parametrize("params", MOMENT_MAP_PARAMS)
+    def test_entries_are_basis_values(self, params):
+        m = params.m
+        for p in sample_points(params, 3, seed=51):
+            N = moment_map(params, p)
+            assert N.shape == (m, m)
+            for a, b in itertools.product(range(m), repeat=2):
+                assert N[a, b] == evaluate(AlgebraElement.basis(m, a, b), params, p)
+
+    @pytest.mark.parametrize("params", MOMENT_MAP_PARAMS)
+    def test_field_slices_match_scalar_fields(self, params):
+        m = params.m
+        N = lambda q: moment_map(params, q)
+        for p in sample_points(params, 2, seed=53):
+            X = hamiltonian_field(N, params, p)
+            assert X.holo.shape == X.anti.shape == (m, m, m)
+            for a, b in itertools.product(range(m), repeat=2):
+                ref = hamiltonian_field(AlgebraElement.basis(m, a, b).as_field(params), params, p)
+                assert np.max(np.abs(X.holo[:, a, b] - ref.holo)) < 1e-12
+                assert np.max(np.abs(X.anti[:, a, b] - ref.anti)) < 1e-12
+
+    @pytest.mark.parametrize("params", MOMENT_MAP_PARAMS)
+    def test_bracket_entries_match_scalar_brackets(self, params):
+        m = params.m
+        N = lambda q: moment_map(params, q)
+        fields = [AlgebraElement.basis(m, a, b).as_field(params) for a in range(m) for b in range(m)]
+        for p in sample_points(params, 2, seed=57):
+            got = poisson_bracket(N, N, params, p)
+            assert got.shape == (m, m, m, m)
+            want = [poisson_bracket(f, g, params, p) for f in fields for g in fields]
+            assert np.max(np.abs(got.ravel() - want)) < 1e-12
+
+    def test_inadmissible_point_raises(self):
+        with pytest.raises(DomainError):
+            moment_map(P2_CURVED, PhasePoint([0.5, 0]))
 
 
 class TestStructureBracket:
@@ -188,13 +232,13 @@ class TestPointwiseAgreement:
 class TestClosedFormField:
     def test_off_diagonal(self):
         v = closed_form_field(0, 1, PhasePoint([1, 0]))
-        assert v.holo == (0, 1j)
-        assert v.anti == (0, 0)
+        assert tuple(v.holo) == (0, 1j)
+        assert tuple(v.anti) == (0, 0)
 
     def test_vanishing_coordinate(self):
         v = closed_form_field(0, 0, PhasePoint([0, 1]))
-        assert v.holo == (0, 0)
-        assert v.anti == (0, 0)
+        assert tuple(v.holo) == (0, 0)
+        assert tuple(v.anti) == (0, 0)
 
     def test_complex_coordinate(self):
         v = closed_form_field(0, 0, PhasePoint([1 + 1j, 0]))
@@ -211,24 +255,19 @@ class TestPolarization:
     def test_basis_observables_preserve(self, params):
         samples = sample_points(params, 10, seed=21)
         f = AlgebraElement.basis(2, 0, 1).as_field(params)
-        report = preserves_polarization(f, params, samples, tol=1e-5)
-        assert report.passed
+        assert preserves_polarization(f, params, samples) <= 1e-5
 
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
     def test_holomorphic_polynomial_preserves(self, params):
         samples = sample_points(params, 10, seed=21)
-        report = preserves_polarization(
-            lambda p: p.z[0] * p.z[1], params, samples, tol=1e-5
-        )
-        assert report.passed
+        residual = preserves_polarization(lambda p: p.z[0] * p.z[1], params, samples)
+        assert residual <= 1e-5
 
     def test_negative_control_fails_with_residual_two(self):
         samples = sample_points(P2_FLAT, 10, seed=21)
-        report = preserves_polarization(
-            lambda p: p.z[0].conjugate() ** 2, P2_FLAT, samples, tol=1e-5
-        )
-        assert not report.passed
-        assert report.max_residual == pytest.approx(2.0, rel=1e-5)
+        residual = preserves_polarization(lambda p: p.z[0].conjugate() ** 2, P2_FLAT, samples)
+        assert not residual <= 1e-5
+        assert residual == pytest.approx(2.0, rel=1e-5)
 
     @pytest.mark.parametrize("params", [P2_CURVED, OscillatorParams(m=3, a=0.8)])
     def test_residual_matches_per_component_oracle(self, params):
@@ -251,7 +290,7 @@ class TestPolarization:
                 for a in range(m)
                 for b in range(m)
             )
-            got = preserves_polarization(f, params, samples, tol=1e-5).max_residual
+            got = preserves_polarization(f, params, samples)
             assert got == pytest.approx(oracle, rel=1e-12)
 
 
