@@ -47,7 +47,6 @@ from .symplectic import (
     TangentVector,
     hamiltonian_field,
     lie_bracket_fields,
-    omega_at,
     poisson_bracket,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "ricci_at",
     "sample_points",
     "TangentVector",
-    "omega_at",
     "hamiltonian_field",
     "poisson_bracket",
     "lie_bracket_fields",

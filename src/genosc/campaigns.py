@@ -108,13 +108,13 @@ def random_holomorphic_polynomials(m: int, count: int, seed: int):
                 k = tuple(int(x) for x in rng.integers(0, POLYNOMIAL_MAX_DEGREE + 1, size=m))
             terms[k] = complex(rng.standard_normal(), rng.standard_normal())
 
-        def field(p, terms=terms):
+        def field(z, terms=terms):
             total = 0j
             for k, c in terms.items():
                 term = c
                 for a, e in enumerate(k):
-                    term *= p.z[a] ** e
-                total += term
+                    term = term * z[..., a] ** e
+                total = total + term
             return total
 
         polys.append(field)
@@ -129,10 +129,14 @@ def polarization_residuals(
     holomorphic polynomials, tested as one array field; the control is
     (zbar^1)^2, which must fail."""
     polys = random_holomorphic_polynomials(params.m, POLARIZATION_POLYNOMIALS, poly_seed)
-    preserving = lambda q: np.concatenate(
-        [moment_map(params, q).ravel(), [poly(q) for poly in polys]]
+    preserving = lambda z: np.concatenate(
+        [
+            moment_map(params, z).reshape(z.shape[:-1] + (-1,)),
+            np.stack([poly(z) for poly in polys], axis=-1),
+        ],
+        axis=-1,
     )
-    control = lambda p: p.z[0].conjugate() ** 2
+    control = lambda z: np.conj(z[..., 0]) ** 2
     return (
         preserves_polarization(preserving, params, list(points)),
         preserves_polarization(control, params, list(points)),

@@ -59,6 +59,13 @@ VERIFY_CHECKS = (
 
 ENV_PREFIX = "GENOSC_"
 
+#: Most complex values one verify sample may hold at once.  The largest array
+#: is the nested polarization stencil of the m^2 + 4 fields, 64 m^2 (m^2 + 4)
+#: values; peak RSS grew by about 80 bytes per value from m = 4 to m = 16
+#: (CHANGES.md has the measurements), so this allows m <= 16 and keeps a run
+#: under about 0.45 GB.
+MAX_STENCIL_VALUES = 5_000_000
+
 
 def _render_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 sig digits."""
@@ -123,6 +130,12 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--samples must be >= 1")
     if not 0 < args.margin < math.inf:
         parser.error("--margin must be positive and finite")
+    stencil_values = 64 * args.m**2 * (args.m**2 + 4)
+    if stencil_values > MAX_STENCIL_VALUES:
+        parser.error(
+            f"--m {args.m} needs {stencil_values} stencil values per sample,"
+            f" over the limit of {MAX_STENCIL_VALUES}"
+        )
     params = _params(args, parser)
     try:
         tols = _tolerances(args)
@@ -307,27 +320,29 @@ def _cmd_eval(args, parser) -> int:
         "point": [[c.real, c.imag] for c in point.z],
         "r": point.r,
     }
+    # numpy overflow raises here as in verify, rather than turning values into inf.
     try:
-        if args.metric:
-            md = metric_at(params, point)
-            prof = radial_profile(params, point.r)
-            report["profile"] = {
-                "u_prime": prof.u_prime,
-                "u_double_prime": prof.u_double_prime,
-                "s": prof.s,
-                "s_prime": prof.s_prime,
-            }
-            report["g"] = [[[v.real, v.imag] for v in row] for row in md.g]
-            report["g_inv"] = [[[v.real, v.imag] for v in row] for row in md.g_inv]
-            report["det_g"] = md.det_g
-        else:
-            value = evaluate(element, params, point)
-            report["value"] = [value.real, value.imag]
+        with np.errstate(over="raise"):
+            if args.metric:
+                md = metric_at(params, point)
+                prof = radial_profile(params, point.r)
+                report["profile"] = {
+                    "u_prime": prof.u_prime,
+                    "u_double_prime": prof.u_double_prime,
+                    "s": prof.s,
+                    "s_prime": prof.s_prime,
+                }
+                report["g"] = [[[v.real, v.imag] for v in row] for row in md.g]
+                report["g_inv"] = [[[v.real, v.imag] for v in row] for row in md.g_inv]
+                report["det_g"] = md.det_g
+            else:
+                value = evaluate(element, params, point)
+                report["value"] = [value.real, value.imag]
     except GenoscError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(report)
         return 1
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         parser.error(
             f"r = {point.r:g} or --a {args.a:g} is too large: r^m or a^m overflows a float"
         )

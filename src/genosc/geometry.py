@@ -61,48 +61,35 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point z in C^m with its radial invariant r = sum |z^a|^2."""
+    """A point z in C^m with its radial invariant r = sum |z^a|^2.
+
+    numpy sees it as its (m,) coordinate array, so every function of points
+    takes a PhasePoint or an array of points alike.
+    """
 
     z: tuple
 
     def __init__(self, z: Iterable[complex]):
         object.__setattr__(self, "z", tuple(complex(c) for c in z))
 
-    @property
-    def m(self) -> int:
-        return len(self.z)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.z, dtype=complex if dtype is None else dtype)
 
     @property
     def r(self) -> float:
         # Always recomputed from the coordinates, never cached or trusted.
         return sum((c * c.conjugate()).real for c in self.z)
 
-    def shifted(self, index: int, dz: complex) -> "PhasePoint":
-        z = list(self.z)
-        z[index] += dz
-        return PhasePoint(z)
-
-    def admissible(self, params: OscillatorParams) -> bool:
-        return self.r ** params.m - params.a ** params.m > 0
-
-    def require_admissible(self, params: OscillatorParams):
-        if len(self.z) != params.m:
-            raise DomainError(f"point has {len(self.z)} coordinates, expected {params.m}")
-        if not self.admissible(params):
-            raise DomainError(
-                f"inadmissible point: r^m - a^m = {self.r ** params.m - params.a ** params.m:g}"
-                " (need > 0)"
-            )
-
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Radial profile scalars of the Kähler potential at a given r."""
+    """Radial profile scalars of the Kähler potential at r (floats, or arrays
+    shaped like r)."""
 
-    u_prime: float
-    u_double_prime: float
-    s: float
-    s_prime: float
+    u_prime: float | np.ndarray
+    u_double_prime: float | np.ndarray
+    s: float | np.ndarray
+    s_prime: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,124 +101,116 @@ class MetricData:
     det_g: float
 
 
-def radial_profile(params: OscillatorParams, r: float) -> PotentialProfile:
-    """Evaluate u', u'' and the auxiliary scalars s = r u', s' = u' + r u''.
+def _pow(x, y):
+    """x ** y elementwise through Python floats, which call the C library's pow.
 
-    Raises DomainError at or below the degeneration radius r^m = a^m.
+    numpy's own float pow is vectorized on some CPUs (SVML on AVX-512) and
+    then differs in the last bit for about 5 % of arguments, so reports would
+    depend on the machine.  Overflow raises OverflowError, as on floats.
+    """
+    return np.asarray(np.asarray(x, dtype=float).astype(object) ** y, dtype=float)[()]
+
+
+def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
+    """Evaluate u', u'' and the auxiliary scalars s = r u', s' = u' + r u''
+    at r, a float or an array of radii.
+
+    Raises DomainError if any r is at or below the degeneration radius
+    r^m = a^m.
     """
     m, a = params.m, params.a
-    if r <= 0 or r**m - a**m <= 0:
-        raise DomainError(f"r^m - a^m = {r**m - a**m:g} <= 0 at r = {r:g}")
-    s = (r**m - a**m) ** (1.0 / m)
+    r = np.asarray(r, dtype=float)
+    a_m = a**m
+    dom = _pow(r, m) - a_m
+    bad = (r <= 0) | (dom <= 0)
+    if np.count_nonzero(bad):
+        i = np.argmax(bad)
+        raise DomainError(f"r^m - a^m = {np.ravel(dom)[i]:g} <= 0 at r = {np.ravel(r)[i]:g}")
+    s = _pow(dom, 1.0 / m)
     u_prime = s / r
-    u_double_prime = a**m / (r**2 * s ** (m - 1))
+    u_double_prime = a_m / (_pow(r, 2) * _pow(s, m - 1))
     return PotentialProfile(u_prime, u_double_prime, s, u_prime + r * u_double_prime)
 
 
-def metric_at(params: OscillatorParams, p: PhasePoint) -> MetricData:
-    """Assemble the metric at p, with the rank-one closed-form inverse
-    cross-checked against direct numerical inversion.
-    """
-    p.require_admissible(params)
-    prof = radial_profile(params, p.r)
-    z = np.asarray(p.z, dtype=complex)
-    outer = np.conj(z)[:, None] * z[None, :]
-    g = prof.u_double_prime * outer + prof.u_prime * np.eye(params.m)
+def _profile(params: OscillatorParams, p) -> tuple[np.ndarray, PotentialProfile]:
+    """The points p as an array z (..., m) and the radial profile at each,
+    shaped (..., 1, 1) to scale (m, m) blocks.  r is summed in coordinate
+    order (accumulate, unlike sum, never pairs terms), as PhasePoint.r sums it.
+    Raises DomainError unless each point has m coordinates."""
+    z = np.asarray(p, dtype=complex)
+    if z.shape[-1:] != (params.m,):
+        raise DomainError(f"points of shape {z.shape} need {params.m} coordinates")
+    r = np.add.accumulate(z.real * z.real + z.imag * z.imag, axis=-1)[..., -1:, None]
+    return z, radial_profile(params, r)
+
+
+def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g[..., a, b] = g_{ab'} at points p (..., m) and its
+    Sherman-Morrison inverse, cross-checked against direct numerical
+    inversion at every point."""
+    z, prof = _profile(params, p)
+    outer = np.conj(z)[..., :, None] * z[..., None, :]
+    eye = np.eye(params.m)
+    g = prof.u_double_prime * outer + prof.u_prime * eye
     # Sherman-Morrison form of the inverse; satisfies g @ g_inv = I.
-    g_inv = (np.eye(params.m) - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
-    direct = np.linalg.inv(g)
-    deviation = np.max(np.abs(g_inv - direct))
-    if deviation > INVERSE_CONSISTENCY_TOL:
+    g_inv = (eye - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
+    deviation = np.max(np.abs(g_inv - np.linalg.inv(g)), axis=(-2, -1))
+    worst = np.argmax(deviation)
+    if np.ravel(deviation)[worst] > INVERSE_CONSISTENCY_TOL:
         raise ConditioningError(
-            f"closed-form and direct inverse disagree by {deviation:.3e} at r = {p.r:g}"
+            f"closed-form and direct inverse disagree by {np.ravel(deviation)[worst]:.3e}"
+            f" at z = {z.reshape(-1, params.m)[worst]}"
         )
-    det = np.linalg.det(g).real
-    return MetricData(g=g, g_inv=g_inv, det_g=det)
+    return g, g_inv
 
 
-#: A field on phase space: complex-valued, or a numpy array of complex values
-#: that the differencing below treats componentwise.
-ScalarField = Callable[[PhasePoint], complex | np.ndarray]
+def metric_at(params: OscillatorParams, p: PhasePoint) -> MetricData:
+    """The metric at p, its closed-form inverse (cross-checked against direct
+    numerical inversion) and its determinant."""
+    g, g_inv = _metric(params, p)
+    return MetricData(g=g, g_inv=g_inv, det_g=np.linalg.det(g).real)
 
 
-def _step(z: complex) -> float:
-    return WIRTINGER_STEP * max(1.0, abs(z))
+#: A field on phase space: a function of points z of shape (..., m) whose
+#: values have shape (..., *shape), complex scalars or arrays per point.
+ScalarField = Callable[[np.ndarray], np.ndarray]
 
 
-def wirtinger(
-    field: ScalarField,
-    p: PhasePoint,
-    index: int,
-    kind: str,
-    params: OscillatorParams | None = None,
-) -> complex | np.ndarray:
-    """Numerical Wirtinger derivative of a field at p.
+def wirtinger(field: ScalarField, p, kind: str) -> np.ndarray:
+    """Numerical Wirtinger derivatives of a field along every coordinate.
 
-    kind selects d/dz^index (``holomorphic``, = (d_x - i d_y)/2) or
-    d/dzbar^index (``antiholomorphic``, = (d_x + i d_y)/2).  Uses 4th-order
-    central differences on the real and imaginary parts.  An array-valued
-    field is differentiated componentwise.  When params is given, every
-    stencil point is checked for admissibility.
+    kind selects d/dz^a (``holomorphic``, = (d_x - i d_y)/2) or d/dzbar^a
+    (``antiholomorphic``, = (d_x + i d_y)/2).  Uses 4th-order central
+    differences on the real and imaginary parts: the stencil of points p
+    (..., m) has shape (..., m, 8, m) and the field is called on it once.
+    Returns the m derivatives, of shape (..., m, *shape).
     """
     if kind not in (HOLOMORPHIC, ANTIHOLOMORPHIC):
         raise ValueError(f"kind must be {HOLOMORPHIC!r} or {ANTIHOLOMORPHIC!r}, got {kind!r}")
-    if not 0 <= index < len(p.z):
-        raise IndexError(f"coordinate index {index} out of range for m = {len(p.z)}")
-    h = _step(p.z[index])
-    total = 0j
-    for shift, weight in _WIRTINGER_STENCIL[kind]:
-        q = p.shifted(index, shift * h)
-        if params is not None:
-            q.require_admissible(params)
-        total += weight * field(q)
-    return total / (24.0 * h)
+    z = np.asarray(p, dtype=complex)
+    shifts, weights = zip(*_WIRTINGER_STENCIL[kind])
+    h = WIRTINGER_STEP * np.maximum(1.0, np.abs(z))
+    # Coordinate a of the stencil's row a moves by shift * h[a]; the others stay.
+    moves = (h[..., :, None] * np.array(shifts))[..., None] * np.eye(z.shape[-1])[:, None, :]
+    values = np.moveaxis(field(z[..., None, None, :] + moves), z.ndim, 0)
+    # Summed in table order, so a constant field gives exactly 0.
+    total = sum(w * v for w, v in zip(weights, values))
+    return total / (24.0 * h.reshape(h.shape + (1,) * (total.ndim - h.ndim)))
 
 
-def _log_det_batch(params: OscillatorParams, Z: np.ndarray) -> np.ndarray:
-    """log det g at a batch of points, Z of shape (k, m).
-
-    Same metric assembly as metric_at, vectorized for stencil evaluation.
-    """
-    m, a = params.m, params.a
-    r = np.sum(np.abs(Z) ** 2, axis=1)
-    dom = r**m - a**m
-    if np.any(dom <= 0):
-        raise DomainError("differencing stencil leaves the admissible domain")
-    s = dom ** (1.0 / m)
-    u_prime = s / r
-    u_double_prime = a**m / (r**2 * s ** (m - 1))
-    G = u_double_prime[:, None, None] * (np.conj(Z)[:, :, None] * Z[:, None, :])
-    G += u_prime[:, None, None] * np.eye(m)
-    sign, logdet = np.linalg.slogdet(G)
+def _log_det(params: OscillatorParams, p) -> np.ndarray:
+    """log det g at points p (..., m)."""
+    sign, logdet = np.linalg.slogdet(_metric(params, p)[0])
     if np.any(sign.real <= 0):
         raise ConditioningError("metric lost positive definiteness on the stencil")
     return logdet
 
 
-def ricci_at(params: OscillatorParams, p: PhasePoint) -> np.ndarray:
+def ricci_at(params: OscillatorParams, p) -> np.ndarray:
     """Ricci tensor R_{ab'} = -d_a d_b' log det g by nested Wirtinger
-    differencing; expected to vanish to the finite-difference noise floor.
-    """
-    p.require_admissible(params)
-    m = params.m
-    z = np.asarray(p.z, dtype=complex)
-    h = np.array([_step(c) for c in p.z])
-    nested = [
-        (si, sj, wi * wj)
-        for si, wi in _WIRTINGER_STENCIL[HOLOMORPHIC]
-        for sj, wj in _WIRTINGER_STENCIL[ANTIHOLOMORPHIC]
-    ]
-    points = []
-    for i in range(m):
-        for j in range(m):
-            for si, sj, _ in nested:
-                q = z.copy()
-                q[i] += si * h[i]
-                q[j] += sj * h[j]
-                points.append(q)
-    logdet = _log_det_batch(params, np.asarray(points)).reshape(m, m, len(nested))
-    weights = np.array([w for _, _, w in nested])
-    return -(logdet @ weights) / (576.0 * np.outer(h, h))
+    differencing; expected to vanish to the finite-difference noise floor."""
+    dbar_log_det = lambda q: wirtinger(lambda x: _log_det(params, x), q, ANTIHOLOMORPHIC)
+    return -wirtinger(dbar_log_det, p, HOLOMORPHIC)
 
 
 def sample_points(

@@ -18,8 +18,8 @@ from .geometry import (
     OscillatorParams,
     PhasePoint,
     ScalarField,
-    metric_at,
-    radial_profile,
+    _metric,
+    _profile,
     wirtinger,
 )
 from .symplectic import TangentVector, _holo_part
@@ -109,25 +109,25 @@ class AlgebraElement:
         return lambda p: evaluate(self, params, p)
 
 
-def moment_map(params: OscillatorParams, p: PhasePoint) -> np.ndarray:
-    """The basis observables at p as one (m, m) array, N[a, b] = u' z^a zbar^b."""
-    p.require_admissible(params)
-    u_prime = radial_profile(params, p.r).u_prime
-    z = np.asarray(p.z)
-    return u_prime * z[:, None] * np.conj(z)[None, :]
+def moment_map(params: OscillatorParams, p) -> np.ndarray:
+    """The basis observables at points p (..., m), N[..., a, b] = u' z^a zbar^b,
+    of shape (..., m, m)."""
+    z, prof = _profile(params, p)
+    return prof.u_prime * z[..., :, None] * np.conj(z)[..., None, :]
 
 
-def evaluate(e: AlgebraElement, params: OscillatorParams, p: PhasePoint) -> complex:
-    """Pointwise value constant + sum c[a][b] N[a, b] of the moment map N."""
+def evaluate(e: AlgebraElement, params: OscillatorParams, p) -> complex | np.ndarray:
+    """Pointwise value constant + sum c[a][b] N[a, b] of the moment map N at
+    points p (..., m), of shape (...)."""
     if e.m != params.m:
         raise DimensionMismatch(f"element over m = {e.m}, params have m = {params.m}")
     N = moment_map(params, p)
-    total = complex(e.constant)
+    total = np.full(N.shape[:-2], complex(e.constant))
     for a, row in enumerate(e.coeff):
         for b, c in enumerate(row):
             if c:
-                total += complex(c) * N[a, b]
-    return complex(total)
+                total = total + complex(c) * N[..., a, b]
+    return total[()]
 
 
 def structure_bracket(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
@@ -159,16 +159,17 @@ def _sparse_product(x: AlgebraElement, y: AlgebraElement) -> dict:
     return out
 
 
-def closed_form_field(alpha: int, beta: int, p: PhasePoint) -> TangentVector:
-    """The Hamiltonian field of N^{alpha beta'} in closed form:
+def closed_form_field(alpha: int, beta: int, p) -> TangentVector:
+    """The Hamiltonian field of N^{alpha beta'} in closed form at points p:
     i (z^alpha d_beta - zbar^beta d_alphabar).  Independent of a."""
-    m = len(p.z)
+    z = np.asarray(p, dtype=complex)
+    m = z.shape[-1]
     if not (0 <= alpha < m and 0 <= beta < m):
         raise IndexError(f"indices ({alpha}, {beta}) out of range for m = {m}")
-    holo = [0j] * m
-    anti = [0j] * m
-    holo[beta] = 1j * p.z[alpha]
-    anti[alpha] = -1j * p.z[beta].conjugate()
+    holo = np.zeros_like(z)
+    anti = np.zeros_like(z)
+    holo[..., beta] = 1j * z[..., alpha]
+    anti[..., alpha] = -1j * np.conj(z[..., beta])
     return TangentVector(holo, anti)
 
 
@@ -181,11 +182,8 @@ def preserves_polarization(
     constant; the residual is max over samples, components and directions of
     |dbar_b (X_f)^a_holo|.  An array-valued f is tested entry by entry.
     """
-    holo = lambda q: _holo_part(f, metric_at(params, q).g_inv, q)
-    worst = 0.0
-    for p in samples:
-        for b in range(params.m):
-            res = float(np.max(np.abs(wirtinger(holo, p, b, ANTIHOLOMORPHIC))))
-            if res > worst:
-                worst = res
-    return worst
+    holo = lambda q: _holo_part(f, _metric(params, q)[1], q)
+    return max(
+        (float(np.max(np.abs(wirtinger(holo, p, ANTIHOLOMORPHIC)))) for p in samples),
+        default=0.0,
+    )

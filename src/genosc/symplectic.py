@@ -14,9 +14,8 @@ from .geometry import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     OscillatorParams,
-    PhasePoint,
     ScalarField,
-    metric_at,
+    _metric,
     wirtinger,
 )
 
@@ -25,8 +24,9 @@ from .geometry import (
 class TangentVector:
     """Complexified tangent vector: holo[a] along d/dz^a, anti[a] along d/dzbar^a.
 
-    The components are complex arrays whose first axis is the coordinate a; a
-    further axis per axis of an array-valued function holds one field each.
+    The components are complex arrays of shape (..., m, *shape): one leading
+    axis per batch axis of the points, the coordinate a, then one axis per
+    axis of an array-valued function, which holds one field each.
     """
 
     holo: np.ndarray
@@ -36,79 +36,65 @@ class TangentVector:
         object.__setattr__(self, "holo", np.asarray(holo, dtype=complex))
         object.__setattr__(self, "anti", np.asarray(anti, dtype=complex))
 
-    @property
-    def m(self) -> int:
-        return len(self.holo)
+
+VectorField = Callable[[np.ndarray], TangentVector]
 
 
-VectorField = Callable[[PhasePoint], TangentVector]
+def _contract(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """sum_a x[..., a, *xs] y[..., a, *ys], of shape (..., *xs, *ys), where
+    the coordinate axis a comes after `axis` batch axes."""
+    batch, m = x.shape[:axis], x.shape[axis]
+    out = np.swapaxes(x.reshape(batch + (m, -1)), -1, -2) @ y.reshape(batch + (m, -1))
+    return out.reshape(batch + x.shape[axis + 1 :] + y.shape[axis + 1 :])
 
 
-def omega_at(
-    params: OscillatorParams, p: PhasePoint, X: TangentVector, Y: TangentVector
-) -> complex:
-    """Fundamental 2-form Omega(X, Y) = i g_{ab'} (X^a Ybar^b - Y^a Xbar^b)."""
-    g = metric_at(params, p).g
-    return 1j * (X.holo @ g @ Y.anti - Y.holo @ g @ X.anti)
-
-
-def _derivatives(f: ScalarField, p: PhasePoint, kind: str) -> np.ndarray:
-    """The Wirtinger derivatives of f of one kind along each coordinate,
-    stacked on the first axis (further axes for an array-valued f)."""
-    return np.array([wirtinger(f, p, a, kind) for a in range(len(p.z))])
-
-
-def _holo_part(f: ScalarField, g_inv: np.ndarray, p: PhasePoint) -> np.ndarray:
+def _holo_part(f: ScalarField, g_inv: np.ndarray, p) -> np.ndarray:
     """The holomorphic components holo[a] = i ginv[b][a] dbar_b f of X_f at p,
     which need only the antiholomorphic derivatives of f."""
-    return 1j * np.tensordot(g_inv.T, _derivatives(f, p, ANTIHOLOMORPHIC), axes=1)
+    return 1j * _contract(g_inv, wirtinger(f, p, ANTIHOLOMORPHIC), g_inv.ndim - 2)
 
 
-def hamiltonian_field(
-    f: ScalarField, params: OscillatorParams, p: PhasePoint
-) -> TangentVector:
-    """Hamiltonian vector field of f at p, from i_{X_f} Omega = -df.
+def hamiltonian_field(f: ScalarField, params: OscillatorParams, p) -> TangentVector:
+    """Hamiltonian vector field of f at points p (..., m), from i_{X_f} Omega = -df.
 
     Componentwise: holo[a] = i ginv[b][a] dbar_b f, anti[b] = -i ginv[b][a] d_a f,
     with the Wirtinger derivatives taken numerically.  For an array-valued f
-    the components have shape (m, *f.shape): one field per entry of f.
+    the components have shape (..., m, *f.shape): one field per entry of f.
     """
-    g_inv = metric_at(params, p).g_inv
-    d = _derivatives(f, p, HOLOMORPHIC)
-    return TangentVector(_holo_part(f, g_inv, p), -1j * np.tensordot(g_inv, d, axes=1))
+    g_inv = _metric(params, p)[1]
+    d = wirtinger(f, p, HOLOMORPHIC)
+    anti = -1j * _contract(np.swapaxes(g_inv, -1, -2), d, g_inv.ndim - 2)
+    return TangentVector(_holo_part(f, g_inv, p), anti)
 
 
-def poisson_bracket(
-    f: ScalarField, g: ScalarField, params: OscillatorParams, p: PhasePoint
-) -> complex | np.ndarray:
+def poisson_bracket(f: ScalarField, g: ScalarField, params: OscillatorParams, p) -> np.ndarray:
     """{f, g}(p) = X_f(g)(p) = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g),
-    of shape f.shape + g.shape for array-valued f and g."""
+    of shape f.shape + g.shape per point for array-valued f and g."""
     return apply_field(lambda q: hamiltonian_field(f, params, q), g, p)
 
 
-def apply_field(X: VectorField, h: ScalarField, p: PhasePoint) -> complex | np.ndarray:
+def apply_field(X: VectorField, h: ScalarField, p) -> np.ndarray:
     """Directional derivative X(h)(p) = X^a d_a h + Xbar^b dbar_b h, contracted
-    on the coordinate axis: of shape X.shape + h.shape, where X.shape is that
-    of X's components after the coordinate axis."""
-    Xp = X(p)
-    d = _derivatives(h, p, HOLOMORPHIC)
-    dbar = _derivatives(h, p, ANTIHOLOMORPHIC)
-    return np.tensordot(Xp.holo, d, axes=(0, 0)) + np.tensordot(Xp.anti, dbar, axes=(0, 0))
+    on the coordinate axis: of shape X.shape + h.shape per point, where
+    X.shape is that of X's components after the coordinate axis."""
+    Xp, axis = X(p), np.ndim(p) - 1
+    return _contract(Xp.holo, wirtinger(h, p, HOLOMORPHIC), axis) + _contract(
+        Xp.anti, wirtinger(h, p, ANTIHOLOMORPHIC), axis
+    )
 
 
 def _stacked(V: VectorField) -> ScalarField:
     """The components (holo, anti) of V as one array-valued field."""
 
-    def components(q: PhasePoint) -> np.ndarray:
+    def components(q: np.ndarray) -> np.ndarray:
         v = V(q)
-        return np.concatenate([v.holo, v.anti])
+        return np.concatenate([v.holo, v.anti], axis=q.ndim - 1)
 
     return components
 
 
-def lie_bracket_fields(X: VectorField, Y: VectorField, p: PhasePoint) -> TangentVector:
+def lie_bracket_fields(X: VectorField, Y: VectorField, p) -> TangentVector:
     """Commutator [X, Y] at p, componentwise X(Y^k) - Y(X^k) by numerical
     directional differentiation of the component functions."""
-    m = len(p.z)
     c = apply_field(X, _stacked(Y), p) - apply_field(Y, _stacked(X), p)
-    return TangentVector(c[:m], c[m:])
+    return TangentVector(*np.split(c, 2, axis=np.ndim(p) - 1))

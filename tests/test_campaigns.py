@@ -1,7 +1,7 @@
 import pytest
 
 from genosc import OscillatorParams, sample_points
-from genosc import campaigns
+from genosc import campaigns, cli, geometry, observables, symplectic
 
 P2_CURVED = OscillatorParams(m=2, a=1.0)
 
@@ -50,3 +50,21 @@ def test_polarization_residuals_one_call_per_field_family(monkeypatch):
     preserved, control = campaigns.polarization_residuals(P2_CURVED, points, poly_seed=3)
     assert len(calls) == 2
     assert preserved <= 1e-5 and control >= 1.0
+
+
+def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
+    # 2 for the field, 4 for the bracket, 2 for Ricci and 4 for polarization;
+    # the campaigns other than det and inverse take the metric from the kernel.
+    calls = {"wirtinger": 0, "metric_at": 0}
+    for name in calls:
+        original = getattr(geometry, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (geometry, symplectic, observables, campaigns, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert cli.main(["verify", "--m", "2", "--a", "1", "--samples", "1", "--seed", "5"]) == 0
+    assert calls == {"wirtinger": 12, "metric_at": 2}

@@ -127,6 +127,29 @@ class TestVerify:
         assert "Traceback" not in out.err
 
 
+    def test_oversized_stencil_exit_2_before_sampling(self, capsys, monkeypatch):
+        def sample_points(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("genosc.cli.sample_points", sample_points)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "40", "--samples", "1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--m 40" in out.err
+
+    def test_m12_is_within_the_stencil_limit(self, monkeypatch):
+        class Sampling(Exception):
+            pass
+
+        def sample_points(*args):
+            raise Sampling
+
+        monkeypatch.setattr("genosc.cli.sample_points", sample_points)
+        with pytest.raises(Sampling):
+            main(["verify", "--m", "12", "--samples", "1"])
+
+
 class TestSpectrum:
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
@@ -255,11 +278,17 @@ class TestEval:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_overflowing_point_exit_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode", [["--metric"], ["--element", '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}']],
+        ids=["--metric", "--element"],
+    )
+    def test_overflowing_point_exit_2(self, capsys, monkeypatch, mode):
         # r = 1e300 is finite, r^2 is not
         monkeypatch.setattr("sys.stdin", io.StringIO("[[1e150, 0], [1, 0]]"))
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--m", "2", "--a", "1", "--metric"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--m", "2", "--a", "1", *mode])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""

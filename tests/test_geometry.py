@@ -9,12 +9,19 @@ from genosc import (
     OscillatorParams,
     PhasePoint,
     metric_at,
+    moment_map,
     radial_profile,
     ricci_at,
     sample_points,
     wirtinger,
 )
-from genosc.geometry import ANTIHOLOMORPHIC, HOLOMORPHIC
+from genosc.geometry import (
+    _WIRTINGER_STENCIL,
+    ANTIHOLOMORPHIC,
+    HOLOMORPHIC,
+    WIRTINGER_STEP,
+    _log_det,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -86,54 +93,130 @@ class TestMetric:
             metric_at(OscillatorParams(m=3, a=0.0), PhasePoint([1, 1]))
 
 
+def radius(z):
+    return np.sum(np.abs(z) ** 2, axis=-1)
+
+
+def scalar_wirtinger(field, z, kind):
+    """The derivatives one coordinate and one stencil shift at a time, each
+    field value taken at a single point: the oracle of the stencil kernel."""
+    z = np.asarray(z, dtype=complex)
+    out = []
+    for a in range(len(z)):
+        h = WIRTINGER_STEP * max(1.0, abs(z[a]))
+        total = 0j
+        for shift, weight in _WIRTINGER_STENCIL[kind]:
+            q = z.copy()
+            q[a] += shift * h
+            total = total + weight * np.asarray(field(q))
+        out.append(total / (24.0 * h))
+    return np.array(out)
+
+
+def hand_built_ricci(params, p):
+    """-d_a dbar_b log det g from one list of the 64 nested shifts per entry,
+    all at the steps of p."""
+    m = params.m
+    z = np.asarray(p, dtype=complex)
+    h = WIRTINGER_STEP * np.maximum(1.0, np.abs(z))
+    nested = [
+        (si, sj, wi * wj)
+        for si, wi in _WIRTINGER_STENCIL[HOLOMORPHIC]
+        for sj, wj in _WIRTINGER_STENCIL[ANTIHOLOMORPHIC]
+    ]
+    points = []
+    for i in range(m):
+        for j in range(m):
+            for si, sj, _ in nested:
+                q = z.copy()
+                q[i] += si * h[i]
+                q[j] += sj * h[j]
+                points.append(q)
+    logdet = _log_det(params, np.array(points)).reshape(m, m, len(nested))
+    return -(logdet @ np.array([w for _, _, w in nested])) / (576.0 * np.outer(h, h))
+
+
+ORACLE_FIELDS = {
+    "scalar": lambda z: z[..., 0] ** 3 * np.conj(z[..., -1]) + radius(z),
+    "array": lambda z: np.stack(
+        [z[..., 0] ** 2 * np.conj(z[..., -1]), radius(z) ** 2, np.exp(1j * z[..., -1])], axis=-1
+    ),
+}
+
+
 class TestWirtinger:
     def test_polynomial_derivative(self):
-        f = lambda p: p.z[0] * p.z[0]
-        d = wirtinger(f, PhasePoint([3, 0]), 0, HOLOMORPHIC)
-        assert d == pytest.approx(6.0, rel=1e-9)
+        d = wirtinger(lambda z: z[..., 0] * z[..., 0], PhasePoint([3, 0]), HOLOMORPHIC)
+        assert d.shape == (2,)
+        assert d[0] == pytest.approx(6.0, rel=1e-9)
+        assert d[1] == 0
 
     def test_antiholomorphic_kills_holomorphic(self):
-        f = lambda p: p.z[0]
-        d = wirtinger(f, PhasePoint([1.3 + 0.4j, 2]), 0, ANTIHOLOMORPHIC)
-        assert abs(d) < 1e-10
+        d = wirtinger(lambda z: z[..., 0], PhasePoint([1.3 + 0.4j, 2]), ANTIHOLOMORPHIC)
+        assert np.max(np.abs(d)) < 1e-10
 
     def test_derivative_of_r(self):
-        f = lambda p: p.r
-        d = wirtinger(f, PhasePoint([2 + 1j, 0]), 0, HOLOMORPHIC)
-        assert d == pytest.approx(2 - 1j, rel=1e-9)
+        d = wirtinger(radius, PhasePoint([2 + 1j, 0]), HOLOMORPHIC)
+        assert d[0] == pytest.approx(2 - 1j, rel=1e-9)
 
     def test_stencil_domain_guard(self):
+        # the point is admissible, but its stencil crosses r^m = a^m
         params = OscillatorParams(m=2, a=1.0)
         near_boundary = PhasePoint([1.0000000001, 0])
+        assert moment_map(params, near_boundary).shape == (2, 2)
         with pytest.raises(DomainError):
-            wirtinger(lambda p: p.r, near_boundary, 0, HOLOMORPHIC, params=params)
+            wirtinger(lambda z: moment_map(params, z), near_boundary, HOLOMORPHIC)
 
     @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
     def test_array_field_matches_componentwise(self, kind):
-        comps = [lambda p: p.z[0] ** 2 * p.z[1].conjugate(), lambda p: p.r, lambda p: 3.0]
-        field = lambda p: np.array([f(p) for f in comps])
+        comps = [
+            lambda z: z[..., 0] ** 2 * np.conj(z[..., 1]),
+            radius,
+            lambda z: np.full(z.shape[:-1], 3.0),
+        ]
+        field = lambda z: np.stack([f(z) for f in comps], axis=-1)
         point = PhasePoint([0.7 - 0.2j, 1.3 + 0.5j])
-        for index in range(2):
-            got = wirtinger(field, point, index, kind)
-            want = [wirtinger(f, point, index, kind) for f in comps]
-            # equal up to the last bit: numpy divides by a reciprocal
-            assert got.shape == (3,)
-            assert np.allclose(got, want, rtol=1e-14, atol=0)
+        got = wirtinger(field, point, kind)
+        want = np.stack([wirtinger(f, point, kind) for f in comps], axis=-1)
+        assert got.shape == (2, 3)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
     @pytest.mark.parametrize("value", [5.0, 0.1, 2.0 / 3.0 - 1.7j, -1e300 + 1e-300j])
     def test_constant_is_exactly_zero(self, kind, value):
-        point = PhasePoint([1.3 + 0.4j, -2.2j])
-        for index in range(2):
-            assert wirtinger(lambda p: value, point, index, kind) == 0
-            got = wirtinger(lambda p: np.array([value, 1.0]), point, index, kind)
-            assert np.array_equal(got, [0, 0])
+        points = [PhasePoint([1.3 + 0.4j, -2.2j]), np.full((2, 3, 2), 0.4 - 7j)]
+        for p in points:
+            batch = np.shape(p)[:-1]
+            got = wirtinger(lambda z: np.full(z.shape[:-1], value), p, kind)
+            assert np.array_equal(got, np.zeros(batch + (2,)))
+            got = wirtinger(lambda z: np.full(z.shape[:-1] + (2,), [value, 1.0]), p, kind)
+            assert np.array_equal(got, np.zeros(batch + (2, 2)))
 
-    def test_bad_kind_and_index(self):
+    def test_bad_kind(self):
         with pytest.raises(ValueError):
-            wirtinger(lambda p: p.r, PhasePoint([1, 1]), 0, "mixed")
-        with pytest.raises(IndexError):
-            wirtinger(lambda p: p.r, PhasePoint([1, 1]), 5, HOLOMORPHIC)
+            wirtinger(radius, PhasePoint([1, 1]), "mixed")
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_scalar_oracle(self, m, kind, field):
+        rng = np.random.default_rng(m)
+        for _ in range(4):
+            z = 1.5 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            got, want = wirtinger(field, z, kind), scalar_wirtinger(field, z, kind)
+            assert got.shape == want.shape == (m, *np.shape(field(z)))
+            scale = max(1.0, float(np.max(np.abs(field(z)))))
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_equals_per_point(self, m, kind, field):
+        rng = np.random.default_rng(10 + m)
+        Z = rng.standard_normal((2, 3, m)) + 1j * rng.standard_normal((2, 3, m))
+        got = wirtinger(field, Z, kind)
+        want = [[wirtinger(field, Z[i, j], kind) for j in range(3)] for i in range(2)]
+        assert np.array_equal(got, np.array(want))
 
 
 class TestRicci:
@@ -151,6 +234,22 @@ class TestRicci:
     def test_curved_case_vanishes_to_noise_floor(self, m, a, z):
         ricci = ricci_at(OscillatorParams(m=m, a=a), PhasePoint(z))
         assert np.max(np.abs(ricci)) < 1e-5
+
+    @pytest.mark.parametrize("m,a", [(1, 0.2), (2, 0.5), (3, 0.8)])
+    def test_matches_hand_built_nested_stencil(self, m, a):
+        # Where every |z^a| stays below 1 on the stencil, every step is
+        # WIRTINGER_STEP and the nested kernel visits exactly the hand-built
+        # points, so only the order of summation differs.  Elsewhere its inner
+        # step is taken at the shifted point: the diagonal then samples other
+        # roundoff of log det g, and both stay at the noise floor.
+        params = OscillatorParams(m=m, a=a)
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            z = rng.uniform(0.55, 0.7, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            assert np.max(np.abs(ricci_at(params, z) - hand_built_ricci(params, z))) < 1e-9
+        for p in sample_points(params, 3, seed=5):
+            assert np.max(np.abs(ricci_at(params, p))) < 1e-7
+            assert np.max(np.abs(hand_built_ricci(params, p))) < 1e-7
 
 
 class TestSampling:

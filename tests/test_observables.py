@@ -260,12 +260,12 @@ class TestPolarization:
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
     def test_holomorphic_polynomial_preserves(self, params):
         samples = sample_points(params, 10, seed=21)
-        residual = preserves_polarization(lambda p: p.z[0] * p.z[1], params, samples)
+        residual = preserves_polarization(lambda z: z[..., 0] * z[..., 1], params, samples)
         assert residual <= 1e-5
 
     def test_negative_control_fails_with_residual_two(self):
         samples = sample_points(P2_FLAT, 10, seed=21)
-        residual = preserves_polarization(lambda p: p.z[0].conjugate() ** 2, P2_FLAT, samples)
+        residual = preserves_polarization(lambda z: np.conj(z[..., 0]) ** 2, P2_FLAT, samples)
         assert not residual <= 1e-5
         assert residual == pytest.approx(2.0, rel=1e-5)
 
@@ -275,16 +275,16 @@ class TestPolarization:
         samples = sample_points(params, 3, seed=43)
         fields = [
             AlgebraElement.basis(m, 0, m - 1).as_field(params),
-            lambda p: p.z[0] * p.z[m - 1] ** 2,
-            lambda p: p.z[0].conjugate() ** 2,
+            lambda z: z[..., 0] * z[..., m - 1] ** 2,
+            lambda z: np.conj(z[..., 0]) ** 2,
         ]
         for f in fields:
             oracle = max(
                 abs(
                     wirtinger(
-                        lambda q, a=a: hamiltonian_field(f, params, q).holo[a],
-                        p, b, ANTIHOLOMORPHIC,
-                    )
+                        lambda q, a=a: hamiltonian_field(f, params, q).holo[..., a],
+                        p, ANTIHOLOMORPHIC,
+                    )[b]
                 )
                 for p in samples
                 for a in range(m)

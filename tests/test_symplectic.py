@@ -9,10 +9,13 @@ from genosc import (
     PhasePoint,
     TangentVector,
     closed_form_field,
+    evaluate,
     hamiltonian_field,
     lie_bracket_fields,
-    omega_at,
+    metric_at,
+    moment_map,
     poisson_bracket,
+    ricci_at,
     sample_points,
     structure_bracket,
     wirtinger,
@@ -29,44 +32,28 @@ def n_field(params, a, b):
     return AlgebraElement.basis(params.m, a, b).as_field(params)
 
 
+def omega(params, p, X, Y):
+    """Fundamental 2-form Omega(X, Y) = i g_{ab'} (X^a Ybar^b - Y^a Xbar^b)."""
+    g = metric_at(params, p).g
+    return 1j * (X.holo @ g @ Y.anti - Y.holo @ g @ X.anti)
+
+
 class TestOmega:
-    def test_vanishes_on_equal_arguments(self):
-        X = TangentVector([1 + 2j, 0.5], [0.3, 1j])
-        assert omega_at(P2_CURVED, POINT, X, X) == pytest.approx(0.0, abs=1e-14)
-
-    def test_flat_frame_value(self):
-        X = TangentVector([1, 0], [0, 0])
-        Y = TangentVector([0, 0], [1, 0])
-        assert omega_at(P2_FLAT, PhasePoint([1, 2]), X, Y) == pytest.approx(1j)
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            X = TangentVector(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                              rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            Y = TangentVector(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                              rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            assert omega_at(P2_CURVED, POINT, X, Y) == pytest.approx(
-                -omega_at(P2_CURVED, POINT, Y, X), abs=1e-12
-            )
-
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
     def test_contraction_convention(self, params):
         # i_{X_f} Omega = -df for f in {N^{ab'}, z^1, r}
         fields = [n_field(params, a, b) for a in range(2) for b in range(2)]
-        fields += [lambda p: p.z[0], lambda p: p.r]
+        fields += [lambda z: z[..., 0], lambda z: np.sum(np.abs(z) ** 2, axis=-1)]
         rng = np.random.default_rng(3)
         for p in sample_points(params, 5, seed=8):
             for f in fields:
                 X = hamiltonian_field(f, params, p)
                 Y = TangentVector(rng.standard_normal(2) + 1j * rng.standard_normal(2),
                                   rng.standard_normal(2) + 1j * rng.standard_normal(2))
-                df = sum(
-                    Y.holo[a] * wirtinger(f, p, a, HOLOMORPHIC)
-                    + Y.anti[a] * wirtinger(f, p, a, ANTIHOLOMORPHIC)
-                    for a in range(2)
+                df = Y.holo @ wirtinger(f, p, HOLOMORPHIC) + Y.anti @ wirtinger(
+                    f, p, ANTIHOLOMORPHIC
                 )
-                assert abs(omega_at(params, p, X, Y) + df) < 1e-7
+                assert abs(omega(params, p, X, Y) + df) < 1e-7
 
 
 class TestHamiltonianField:
@@ -76,12 +63,12 @@ class TestHamiltonianField:
         assert np.allclose(X.anti, [-1j, 0], atol=1e-9)
 
     def test_constant_gives_zero(self):
-        X = hamiltonian_field(lambda p: 5.0, P2_CURVED, POINT)
+        X = hamiltonian_field(lambda z: np.full(z.shape[:-1], 5.0), P2_CURVED, POINT)
         assert np.allclose(X.holo, 0, atol=1e-12)
         assert np.allclose(X.anti, 0, atol=1e-12)
 
     def test_holomorphic_coordinate_flat(self):
-        X = hamiltonian_field(lambda p: p.z[0], P2_FLAT, PhasePoint([0.7, -1.1j]))
+        X = hamiltonian_field(lambda z: z[..., 0], P2_FLAT, PhasePoint([0.7, -1.1j]))
         assert np.allclose(X.holo, 0, atol=1e-10)
         assert np.allclose(X.anti, [-1j, 0], atol=1e-10)
 
@@ -123,10 +110,8 @@ class TestPoissonBracket:
         g = n_field(P2_CURVED, 1, 1)
         for p in sample_points(P2_CURVED, 5, seed=9):
             X = hamiltonian_field(f, P2_CURVED, p)
-            Xg = sum(
-                X.holo[a] * wirtinger(g, p, a, HOLOMORPHIC)
-                + X.anti[a] * wirtinger(g, p, a, ANTIHOLOMORPHIC)
-                for a in range(2)
+            Xg = X.holo @ wirtinger(g, p, HOLOMORPHIC) + X.anti @ wirtinger(
+                g, p, ANTIHOLOMORPHIC
             )
             assert poisson_bracket(f, g, P2_CURVED, p) == pytest.approx(Xg, abs=1e-7)
 
@@ -148,9 +133,9 @@ class TestPoissonBracket:
 class TestApplyField:
     def test_array_field_matches_componentwise(self):
         X = lambda p: closed_form_field(0, 1, p)
-        comps = [n_field(P2_CURVED, 1, 0), lambda p: p.z[0] * p.z[1].conjugate()]
+        comps = [n_field(P2_CURVED, 1, 0), lambda z: z[..., 0] * np.conj(z[..., 1])]
         for p in sample_points(P2_CURVED, 3, seed=41):
-            got = apply_field(X, lambda q: np.array([f(q) for f in comps]), p)
+            got = apply_field(X, lambda z: np.stack([f(z) for f in comps], axis=-1), p)
             want = [apply_field(X, f, p) for f in comps]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -194,3 +179,35 @@ class TestLieBracket:
             ref = hamiltonian_field(eb.as_field(P2_CURVED), P2_CURVED, p)
             assert np.max(np.abs(np.array(lb.holo) - ref.holo)) < 1e-6
             assert np.max(np.abs(np.array(lb.anti) - ref.anti)) < 1e-6
+
+
+class TestBatches:
+    def test_batch_equals_per_point(self):
+        # every function of points takes an array of points as it takes one
+        N = lambda z: moment_map(P2_CURVED, z)
+        X = lambda z: closed_form_field(0, 1, z)
+        points = sample_points(P2_CURVED, 6, seed=43)
+        Z = np.array(points).reshape(2, 3, 2)
+        H = AlgebraElement.hamiltonian(2) + AlgebraElement.const(2, 3)
+        batched = [
+            moment_map(P2_CURVED, Z),
+            evaluate(H, P2_CURVED, Z),
+            hamiltonian_field(N, P2_CURVED, Z).holo,
+            hamiltonian_field(N, P2_CURVED, Z).anti,
+            poisson_bracket(N, N, P2_CURVED, Z),
+            lie_bracket_fields(X, X, Z).holo,
+            ricci_at(P2_CURVED, Z),
+        ]
+        per_point = [
+            [moment_map(P2_CURVED, p) for p in points],
+            [evaluate(H, P2_CURVED, p) for p in points],
+            [hamiltonian_field(N, P2_CURVED, p).holo for p in points],
+            [hamiltonian_field(N, P2_CURVED, p).anti for p in points],
+            [poisson_bracket(N, N, P2_CURVED, p) for p in points],
+            [lie_bracket_fields(X, X, p).holo for p in points],
+            [ricci_at(P2_CURVED, p) for p in points],
+        ]
+        for got, want in zip(batched, per_point):
+            want = np.array(want)
+            assert got.shape == (2, 3) + want.shape[1:]
+            assert np.array_equal(got.reshape(want.shape), want)
