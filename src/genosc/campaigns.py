@@ -5,6 +5,7 @@ depend on the order in which the samples are visited.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .observables import (
     preserves_polarization,
     structure_bracket,
 )
+from .quantization import monomial_basis
 from .symplectic import hamiltonian_field, poisson_bracket
 
 
@@ -97,28 +99,34 @@ POLYNOMIAL_MAX_DEGREE = 3
 
 
 def random_holomorphic_polynomials(m: int, count: int, seed: int):
-    """Deterministic holomorphic polynomial fields for polarization tests."""
+    """Deterministic holomorphic polynomial fields for polarization tests.
+
+    Each of a polynomial's three terms takes an exponent vector drawn
+    uniformly from those of degree <= POLYNOMIAL_MAX_DEGREE, one index per
+    draw, and a standard complex normal coefficient."""
     rng = np.random.default_rng(seed)
+    exponents = [
+        k for l in range(POLYNOMIAL_MAX_DEGREE + 1) for k in monomial_basis(m, l).indices
+    ]
     polys = []
     for _ in range(count):
         terms = {}
         for _ in range(3):
-            k = tuple(int(x) for x in rng.integers(0, POLYNOMIAL_MAX_DEGREE + 1, size=m))
-            while sum(k) > POLYNOMIAL_MAX_DEGREE:
-                k = tuple(int(x) for x in rng.integers(0, POLYNOMIAL_MAX_DEGREE + 1, size=m))
+            k = exponents[rng.integers(len(exponents))]
             terms[k] = complex(rng.standard_normal(), rng.standard_normal())
-
-        def field(z, terms=terms):
-            total = 0j
-            for k, c in terms.items():
-                term = c
-                for a, e in enumerate(k):
-                    term = term * z[..., a] ** e
-                total = total + term
-            return total
-
-        polys.append(field)
+        polys.append(partial(_polynomial, terms=terms))
     return polys
+
+
+def _polynomial(z, terms):
+    """sum_k c_k z^k at points z (..., m), for terms {k: c_k}."""
+    total = 0j
+    for k, c in terms.items():
+        term = c
+        for a, e in enumerate(k):
+            term = term * z[..., a] ** e
+        total = total + term
+    return total
 
 
 def polarization_residuals(

@@ -293,8 +293,11 @@ def _parse_element(text: str, parser) -> AlgebraElement:
     """The --element JSON as an AlgebraElement; a malformed one is a usage error."""
     try:
         spec = json.loads(text)
-        coeff = [[_rational(c) for c in row] for row in spec["coeff"]]
-        return AlgebraElement(coeff, _rational(spec.get("constant", [0, 0])))
+        rows = [[_rational(c) for c in row] for row in spec["coeff"]]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("coefficient matrix must be square")
+        terms = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}
+        return AlgebraElement(len(rows), terms, _rational(spec.get("constant", [0, 0])))
     except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
         parser.error(f"malformed --element: {type(exc).__name__}: {exc}")
 

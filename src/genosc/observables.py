@@ -27,70 +27,55 @@ from .symplectic import TangentVector, _holo_part
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """sum_ab coeff[a][b] N^{ab'} + constant, coefficients exact."""
+    """sum over terms c N^{ab'} + constant, coefficients exact.
 
-    coeff: tuple
+    ``terms`` maps (a, b) to its coefficient; only nonzero coefficients are
+    kept, in ascending (a, b) order.
+    """
+
+    m: int
+    terms: dict
     constant: ComplexRational = ZERO
 
-    def __init__(self, coeff, constant=ZERO):
-        rows = tuple(tuple(_coerce(c) for c in row) for row in coeff)
-        m = len(rows)
-        if any(len(row) != m for row in rows):
-            raise ValueError("coefficient matrix must be square")
-        object.__setattr__(self, "coeff", rows)
+    def __init__(self, m: int, terms=None, constant=ZERO):
+        kept = []
+        for (a, b), c in (terms or {}).items():
+            if not (0 <= a < m and 0 <= b < m):
+                raise IndexError(f"indices ({a}, {b}) out of range for m = {m}")
+            c = _coerce(c)
+            if c:
+                kept.append(((a, b), c))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", dict(sorted(kept)))
         object.__setattr__(self, "constant", _coerce(constant))
-
-    @property
-    def m(self) -> int:
-        return len(self.coeff)
-
-    @classmethod
-    def zero(cls, m: int) -> "AlgebraElement":
-        return cls([[ZERO] * m for _ in range(m)])
 
     @classmethod
     def basis(cls, m: int, alpha: int, beta: int) -> "AlgebraElement":
         """N^{alpha beta'} (indices 0-based)."""
-        if not (0 <= alpha < m and 0 <= beta < m):
-            raise IndexError(f"basis indices ({alpha}, {beta}) out of range for m = {m}")
-        coeff = [[ZERO] * m for _ in range(m)]
-        coeff[alpha][beta] = ComplexRational.of(1)
-        return cls(coeff)
+        return cls(m, {(alpha, beta): 1})
 
     @classmethod
     def hamiltonian(cls, m: int) -> "AlgebraElement":
         """H = sum_a N^{aa'}, the generalized-oscillator energy."""
-        coeff = [[ComplexRational.of(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        return cls(coeff)
-
-    @classmethod
-    def const(cls, m: int, value) -> "AlgebraElement":
-        return cls([[ZERO] * m for _ in range(m)], _coerce(value))
+        return cls(m, {(a, a): 1 for a in range(m)})
 
     @property
     def is_real(self) -> bool:
         """True iff the element represents a real-valued function."""
-        if self.constant.im:
-            return False
-        return all(
-            self.coeff[i][j] == self.coeff[j][i].conjugate()
-            for i in range(self.m)
-            for j in range(self.m)
+        return not self.constant.im and all(
+            self.terms.get((b, a), ZERO) == c.conjugate() for (a, b), c in self.terms.items()
         )
 
     @property
     def is_zero(self) -> bool:
-        return not self.constant and not any(c for row in self.coeff for c in row)
+        return not self.constant and not self.terms
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(
-            [
-                [self.coeff[i][j] + other.coeff[i][j] for j in range(self.m)]
-                for i in range(self.m)
-            ],
-            self.constant + other.constant,
-        )
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, ZERO) + c
+        return AlgebraElement(self.m, terms, self.constant + other.constant)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1) * other
@@ -98,7 +83,7 @@ class AlgebraElement:
     def __rmul__(self, scalar) -> "AlgebraElement":
         s = _coerce(scalar)
         return AlgebraElement(
-            [[s * c for c in row] for row in self.coeff], s * self.constant
+            self.m, {key: s * c for key, c in self.terms.items()}, s * self.constant
         )
 
     def _check(self, other: "AlgebraElement"):
@@ -117,46 +102,33 @@ def moment_map(params: OscillatorParams, p) -> np.ndarray:
 
 
 def evaluate(e: AlgebraElement, params: OscillatorParams, p) -> complex | np.ndarray:
-    """Pointwise value constant + sum c[a][b] N[a, b] of the moment map N at
-    points p (..., m), of shape (...)."""
+    """Pointwise value constant + sum over terms c N[a, b] of the moment map N
+    at points p (..., m), of shape (...)."""
     if e.m != params.m:
         raise DimensionMismatch(f"element over m = {e.m}, params have m = {params.m}")
     N = moment_map(params, p)
     total = np.full(N.shape[:-2], complex(e.constant))
-    for a, row in enumerate(e.coeff):
-        for b, c in enumerate(row):
-            if c:
-                total = total + complex(c) * N[..., a, b]
+    for (a, b), c in e.terms.items():
+        total = total + complex(c) * N[..., a, b]
     return total[()]
 
 
 def structure_bracket(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     """Exact Poisson bracket on F(m).
 
-    Bilinear extension of {N^{ab'}, N^{cd'}} = i(delta_bc N^{ad'} - delta_ad N^{cb'}),
-    which collapses to i (C1 C2 - C2 C1) on coefficient matrices; constants are
-    central.  Only products of nonzero coefficients are formed, so the bracket
-    of two basis elements costs a few exact operations at any m.
+    Bilinear extension of {N^{ab'}, N^{cd'}} = i(delta_bc N^{ad'} - delta_ad N^{cb'})
+    over pairs of terms; constants are central.  The bracket of two basis
+    elements costs a few exact operations at any m.
     """
     e1._check(e2)
-    forward, backward = _sparse_product(e1, e2), _sparse_product(e2, e1)
-    out = [[ZERO] * e1.m for _ in range(e1.m)]
-    for a, d in forward.keys() | backward.keys():
-        out[a][d] = I * (forward.get((a, d), ZERO) - backward.get((a, d), ZERO))
-    return AlgebraElement(out)
-
-
-def _sparse_product(x: AlgebraElement, y: AlgebraElement) -> dict:
-    """The coefficient matrix product X Y as {(a, d): value}, summed over the
-    nonzero pairs x[a][b] y[b][d] only."""
-    rows = [[(d, c) for d, c in enumerate(row) if c] for row in y.coeff]
     out: dict = {}
-    for a, row in enumerate(x.coeff):
-        for b, c1 in enumerate(row):
-            if c1:
-                for d, c2 in rows[b]:
-                    out[a, d] = out.get((a, d), ZERO) + c1 * c2
-    return out
+    for (a, b), x in e1.terms.items():
+        for (c, d), y in e2.terms.items():
+            if b == c:
+                out[a, d] = out.get((a, d), ZERO) + I * x * y
+            if a == d:
+                out[c, b] = out.get((c, b), ZERO) - I * x * y
+    return AlgebraElement(e1.m, out)
 
 
 def closed_form_field(alpha: int, beta: int, p) -> TangentVector:

@@ -170,23 +170,18 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    m = e.m
-    basis, k, radix, keys, identity = _basis_tables(m, l)
+    basis, k, radix, keys, identity = _basis_tables(e.m, l)
     half = Fraction(1, 2)
     terms = []
     if e.constant:
         terms.append((0, e.constant, identity, np.ones(basis.size, dtype=object)))
-    for a in range(m):
-        for b in range(m):
-            c = e.coeff[a][b]
-            if not c:
-                continue
-            if a == b:
-                target = identity
-            else:
-                moved = np.searchsorted(keys, keys - radix[b] + radix[a])
-                target = np.where(k[:, b] > 0, moved, identity)
-            terms.append((1, c * half, target, 2 * k[:, b] + (a == b)))
+    for (a, b), c in e.terms.items():
+        if a == b:
+            target = identity
+        else:
+            moved = np.searchsorted(keys, keys - radix[b] + radix[a])
+            target = np.where(k[:, b] > 0, moved, identity)
+        terms.append((1, c * half, target, 2 * k[:, b] + (a == b)))
     return QuantumOperator(basis.size, tuple(terms))
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from genosc import OscillatorParams, sample_points
@@ -68,3 +69,34 @@ def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, 
                 monkeypatch.setattr(module, name, wrapper)
     assert cli.main(["verify", "--m", "2", "--a", "1", "--samples", "1", "--seed", "5"]) == 0
     assert calls == {"wirtinger": 12, "metric_at": 2}
+
+
+def test_random_polynomials_draw_one_index_per_term(monkeypatch):
+    default_rng = np.random.default_rng
+    draws = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            draws.append(args)
+            return self.rng.integers(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    polys = campaigns.random_holomorphic_polynomials(8, 3, seed=5)
+    assert len(draws) == 3 * 3
+    for poly in polys:
+        terms = poly.keywords["terms"]
+        assert terms and all(len(k) == 8 and min(k) >= 0 and sum(k) <= 3 for k in terms)
+
+
+def test_random_polynomials_are_seeded():
+    def terms(seed):
+        return [p.keywords["terms"] for p in campaigns.random_holomorphic_polynomials(8, 3, seed)]
+
+    assert terms(5) == terms(5)
+    assert terms(5) != terms(6)

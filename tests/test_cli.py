@@ -254,6 +254,7 @@ class TestEval:
             '{"coeff": [[[1,0],[0,0]]]}',
             '{"coeff": [[["x",0],[0,0]],[[0,0],[0,0]]]}',
             '{"coeff": [[[1,0],[0,0]],[[0,0],[0,0]]], "constant": 5}',
+            '{"coeff": [[[1,0],[0,0]],[[0,0]]]}',
             "[1]",
         ],
     )
@@ -264,6 +265,13 @@ class TestEval:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "--element" in out.err
+
+    def test_element_of_other_dimension_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0], [1, 0]]"))
+        element = '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}'
+        code, out, _ = run(capsys, "eval", "--m", "3", "--a", "1", "--element", element)
+        assert code == 1
+        assert "DimensionMismatch" in json.loads(out)["error"]
 
     @pytest.mark.parametrize(
         "point", ["[[1e308, 0], [1e308, 0]]", "[[NaN, 0], [1, 0]]", "[[1, Infinity], [1, 0]]"]

@@ -24,6 +24,7 @@ from genosc import (
     structure_bracket,
     wirtinger,
 )
+from genosc.exact import ZERO
 from genosc.geometry import ANTIHOLOMORPHIC
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
@@ -31,12 +32,11 @@ P2_CURVED = OscillatorParams(m=2, a=1.0)
 
 
 def elements_strategy(m):
+    """Elements over m with a coefficient drawn for every (a, b)."""
     rat = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     cr = st.builds(ComplexRational, rat, rat)
-    row = st.lists(cr, min_size=m, max_size=m)
-    return st.builds(
-        AlgebraElement, st.lists(row, min_size=m, max_size=m), cr
-    )
+    terms = st.fixed_dictionaries({ab: cr for ab in itertools.product(range(m), repeat=2)})
+    return st.builds(AlgebraElement, st.just(m), terms, cr)
 
 
 @st.composite
@@ -48,8 +48,8 @@ def sparse_elements(draw):
     cr = st.one_of(st.just(ComplexRational()), st.builds(ComplexRational, rat, rat))
 
     def element():
-        coeff = [[draw(cr) for _ in range(m)] for _ in range(m)]
-        return AlgebraElement(coeff, draw(st.builds(ComplexRational, rat, rat)))
+        terms = {ab: draw(cr) for ab in itertools.product(range(m), repeat=2)}
+        return AlgebraElement(m, terms, draw(st.builds(ComplexRational, rat, rat)))
 
     return element(), element()
 
@@ -62,7 +62,7 @@ def dense_bracket(e1, e2):
     def product(x, y):
         out = [[[Fraction(0), Fraction(0)] for _ in range(m)] for _ in range(m)]
         for a, b, d in itertools.product(range(m), repeat=3):
-            p, q = x.coeff[a][b], y.coeff[b][d]
+            p, q = x.terms.get((a, b), ZERO), y.terms.get((b, d), ZERO)
             out[a][d][0] += p.re * q.re - p.im * q.im
             out[a][d][1] += p.re * q.im + p.im * q.re
         return out
@@ -77,6 +77,27 @@ def dense_bracket(e1, e2):
     ]
 
 
+class TestConstructor:
+    def test_zero_coefficients_are_dropped(self):
+        e = AlgebraElement(2, {(0, 1): 0, (1, 0): ComplexRational(), (1, 1): Fraction(1, 2)})
+        assert e.terms == {(1, 1): ComplexRational.of(Fraction(1, 2))}
+        assert AlgebraElement(2, {(0, 1): 0}) == AlgebraElement(2)
+        assert AlgebraElement(2).is_zero
+
+    def test_key_order_does_not_matter(self):
+        forward = AlgebraElement(3, {(0, 2): 1, (1, 0): 2, (2, 1): 3})
+        backward = AlgebraElement(3, {(2, 1): 3, (1, 0): 2, (0, 2): 1})
+        assert forward == backward
+        assert list(forward.terms) == list(backward.terms) == [(0, 2), (1, 0), (2, 1)]
+
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_index_out_of_range(self, key):
+        with pytest.raises(IndexError):
+            AlgebraElement(2, {key: 1})
+        with pytest.raises(IndexError):
+            AlgebraElement.basis(2, *key)
+
+
 class TestEvaluate:
     def test_flat_basis(self):
         e = AlgebraElement.basis(2, 0, 0)
@@ -88,7 +109,7 @@ class TestEvaluate:
         assert got == pytest.approx(math.sqrt(3), rel=1e-14)
 
     def test_constant(self):
-        e = AlgebraElement.const(2, 5)
+        e = AlgebraElement(2, constant=5)
         assert evaluate(e, P2_CURVED, PhasePoint([1, 1])) == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
@@ -144,7 +165,7 @@ class TestStructureBracket:
         assert got == i * AlgebraElement.basis(2, 0, 1)
 
     def test_self_bracket_is_zero(self):
-        e = AlgebraElement.basis(2, 1, 0) + AlgebraElement.const(2, 3)
+        e = AlgebraElement.basis(2, 1, 0) + AlgebraElement(2, constant=3)
         assert structure_bracket(e, e).is_zero
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -155,7 +176,7 @@ class TestStructureBracket:
                 assert structure_bracket(h, AlgebraElement.basis(m, a, b)).is_zero
 
     def test_constants_are_central(self):
-        c = AlgebraElement.const(2, ComplexRational.of(Fraction(2, 3), 1))
+        c = AlgebraElement(2, constant=ComplexRational.of(Fraction(2, 3), 1))
         assert structure_bracket(c, AlgebraElement.basis(2, 0, 1)).is_zero
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -185,7 +206,7 @@ class TestStructureBracket:
     @given(elements_strategy(3), elements_strategy(3))
     def test_bracket_is_traceless(self, e1, e2):
         out = structure_bracket(e1, e2)
-        trace = sum((out.coeff[i][i] for i in range(3)), ComplexRational())
+        trace = sum((out.terms.get((i, i), ZERO) for i in range(3)), ZERO)
         assert not trace
         assert not out.constant
 
@@ -198,14 +219,15 @@ class TestStructureBracket:
     def test_matches_dense_fraction_oracle(self, pair):
         e1, e2 = pair
         got = structure_bracket(e1, e2)
-        assert [[(c.re, c.im) for c in row] for row in got.coeff] == dense_bracket(e1, e2)
+        coeff = [[got.terms.get((a, d), ZERO) for d in range(e1.m)] for a in range(e1.m)]
+        assert [[(c.re, c.im) for c in row] for row in coeff] == dense_bracket(e1, e2)
         assert got.constant == ComplexRational()
 
     def test_closed_form_on_all_basis_pairs_m3(self):
         m = 3
         i = ComplexRational.of(0, 1)
         for a, b, c, d in itertools.product(range(m), repeat=4):
-            want = AlgebraElement.zero(m)
+            want = AlgebraElement(m)
             if b == c:
                 want = want + i * AlgebraElement.basis(m, a, d)
             if a == d:
@@ -298,12 +320,17 @@ class TestRealityFlag:
     def test_hermitian_is_real(self):
         assert AlgebraElement.hamiltonian(3).is_real
         e = AlgebraElement(
-            [[ComplexRational.of(1), ComplexRational.of(0, 1)],
-             [ComplexRational.of(0, -1), ComplexRational.of(2)]],
+            2,
+            {
+                (0, 0): ComplexRational.of(1),
+                (0, 1): ComplexRational.of(0, 1),
+                (1, 0): ComplexRational.of(0, -1),
+                (1, 1): ComplexRational.of(2),
+            },
             ComplexRational.of(Fraction(1, 2)),
         )
         assert e.is_real
 
     def test_non_hermitian_is_not_real(self):
         assert not AlgebraElement.basis(2, 0, 1).is_real
-        assert not AlgebraElement.const(2, ComplexRational.of(0, 1)).is_real
+        assert not AlgebraElement(2, constant=ComplexRational.of(0, 1)).is_real

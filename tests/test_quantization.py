@@ -17,6 +17,7 @@ from genosc import (
     spectrum_of_H,
     structure_bracket,
 )
+from genosc.exact import ZERO
 from genosc.quantization import _basis_tables
 
 HALF = Fraction(1, 2)
@@ -78,7 +79,7 @@ class TestQuantize:
         assert op.matrix(0) == {}
 
     def test_constant_is_identity(self):
-        op = quantize(AlgebraElement.const(2, 7), 2)
+        op = quantize(AlgebraElement(2, constant=7), 2)
         assert op.matrix(0) == {(i, i): ComplexRational.of(7) for i in range(3)}
         assert op.matrix(1) == {}
 
@@ -128,6 +129,42 @@ class TestQuantize:
             assert (2 * v.re).denominator == 1 and v.im == 0
 
 
+def count_exact_ops(monkeypatch, fn, *args) -> int:
+    """The number of ComplexRational operations, truth tests included, that
+    fn(*args) makes."""
+    count = 0
+    ops = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+           "__bool__", "__eq__", "conjugate")
+    for name in ops:
+        original = getattr(ComplexRational, name)
+
+        def counted(*args, original=original):
+            nonlocal count
+            count += 1
+            return original(*args)
+
+        monkeypatch.setattr(ComplexRational, name, counted)
+    fn(*args)
+    return count
+
+
+class TestExactWorkIndependentOfM:
+    @pytest.mark.parametrize(
+        "work",
+        [
+            lambda m: (
+                structure_bracket, AlgebraElement.basis(m, 0, 1), AlgebraElement.basis(m, 1, 0)
+            ),
+            lambda m: (quantize, AlgebraElement.basis(m, 0, 1), 2),
+        ],
+        ids=["structure_bracket", "quantize"],
+    )
+    def test_basis_element_costs_the_same_at_m2_and_m12(self, monkeypatch, work):
+        counts = [count_exact_ops(monkeypatch, *work(m)) for m in (2, 12)]
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+
 def formula_matrices(e, l):
     """Q(e) entry by entry from the quantization formula, as {power: {(row,
     col): value}} without zeros: on z^k, hbar c_ab (k_b + delta_ab / 2) to
@@ -145,7 +182,7 @@ def formula_matrices(e, l):
                 if min(target) < 0:
                     continue
                 rc = (basis.index(tuple(target)), col)
-                value = e.coeff[a][b] * (Fraction(k[b]) + (HALF if a == b else 0))
+                value = e.terms.get((a, b), ZERO) * (Fraction(k[b]) + (HALF if a == b else 0))
                 out[1][rc] = out[1].get(rc, ComplexRational()) + value
     return {p: {rc: v for rc, v in mat.items() if v} for p, mat in out.items()}
 
@@ -171,8 +208,8 @@ complex_rational = st.one_of(
 
 @st.composite
 def elements(draw, m):
-    coeff = [[draw(complex_rational) for _ in range(m)] for _ in range(m)]
-    return AlgebraElement(coeff, draw(complex_rational))
+    terms = {ab: draw(complex_rational) for ab in itertools.product(range(m), repeat=2)}
+    return AlgebraElement(m, terms, draw(complex_rational))
 
 
 SHAPES = [(1, 3), (2, 3), (3, 2)]
@@ -215,7 +252,9 @@ class TestOperatorAlgebra:
 
     def test_difference_with_itself_is_zero(self):
         e = AlgebraElement(
-            [[1, ComplexRational.of(2, -1)], [Fraction(1, 3), 5]], ComplexRational.of(0, 4)
+            2,
+            {(0, 0): 1, (0, 1): ComplexRational.of(2, -1), (1, 0): Fraction(1, 3), (1, 1): 5},
+            ComplexRational.of(0, 4),
         )
         q = quantize(e, 3)
         assert len(q.terms) == 5 and not q.is_zero
@@ -225,8 +264,12 @@ class TestOperatorAlgebra:
 
     def test_repeated_quantize_matches_formula(self):
         # the second call at the same (m, l) reads the cached basis tables
-        e1 = AlgebraElement([[1, ComplexRational.of(0, 2)], [Fraction(1, 3), 0]], 4)
-        e2 = AlgebraElement([[0, 0], [ComplexRational.of(-1, 1), Fraction(5, 2)]])
+        e1 = AlgebraElement(
+            2, {(0, 0): 1, (0, 1): ComplexRational.of(0, 2), (1, 0): Fraction(1, 3), (1, 1): 0}, 4
+        )
+        e2 = AlgebraElement(
+            2, {(0, 0): 0, (0, 1): 0, (1, 0): ComplexRational.of(-1, 1), (1, 1): Fraction(5, 2)}
+        )
         for e in (e1, e2, e1):
             op = quantize(e, 4)
             want = formula_matrices(e, 4)

@@ -188,7 +188,7 @@ class TestBatches:
         X = lambda z: closed_form_field(0, 1, z)
         points = sample_points(P2_CURVED, 6, seed=43)
         Z = np.array(points).reshape(2, 3, 2)
-        H = AlgebraElement.hamiltonian(2) + AlgebraElement.const(2, 3)
+        H = AlgebraElement.hamiltonian(2) + AlgebraElement(2, constant=3)
         batched = [
             moment_map(P2_CURVED, Z),
             evaluate(H, P2_CURVED, Z),
