@@ -1,7 +1,9 @@
 """Sampled verification campaigns tying the exact algebra to the geometry.
 
 Each campaign returns a max-over-samples residual, so the report does not
-depend on the order in which the samples are visited.
+depend on the order in which the samples are visited.  Apart from det and
+inverse, which read metric_at point by point, a campaign evaluates all its
+points as one (n, m) array in one kernel call; the caller bounds n.
 """
 from __future__ import annotations
 
@@ -50,47 +52,47 @@ def inverse_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> 
     return max_over_points(per_point, points)
 
 
+def _worst(deviation: np.ndarray) -> float:
+    """max |deviation| over every entry."""
+    return float(np.max(np.abs(deviation)))
+
+
 def ricci_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max entrywise |R_{ab'}| by nested finite differencing of log det g."""
-    return max_over_points(lambda p: float(np.max(np.abs(ricci_at(params, p)))), points)
+    return _worst(ricci_at(params, np.asarray(points, dtype=complex)))
 
 
 def field_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max deviation of the numeric Hamiltonian field of every N^{ab'} from
     the closed form i (z^a d_b - zbar^b d_abar)."""
     m = params.m
-    N = lambda q: moment_map(params, q)
-
-    def per_point(p: PhasePoint) -> float:
-        num = hamiltonian_field(N, params, p)
-        worst = 0.0
-        for a in range(m):
-            for b in range(m):
-                ref = closed_form_field(a, b, p)
-                dev = max(
-                    np.max(np.abs(num.holo[:, a, b] - ref.holo)),
-                    np.max(np.abs(num.anti[:, a, b] - ref.anti)),
-                )
-                worst = max(worst, float(dev))
-        return worst
-
-    return max_over_points(per_point, points)
+    z = np.asarray(points, dtype=complex)
+    num = hamiltonian_field(lambda q: moment_map(params, q), params, z)
+    worst = 0.0
+    for a in range(m):
+        for b in range(m):
+            ref = closed_form_field(a, b, z)
+            worst = max(
+                worst,
+                _worst(num.holo[..., a, b] - ref.holo),
+                _worst(num.anti[..., a, b] - ref.anti),
+            )
+    return worst
 
 
 def bracket_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max over all basis 4-tuples of |numeric Poisson bracket - exact
     structure bracket evaluated pointwise|."""
     m = params.m
+    z = np.asarray(points, dtype=complex)
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
-    exact = [structure_bracket(e1, e2) for e1 in basis for e2 in basis]
     N = lambda q: moment_map(params, q)
-
-    def per_point(p: PhasePoint) -> float:
-        num = poisson_bracket(N, N, params, p)
-        ref = np.reshape([evaluate(e, params, p) for e in exact], num.shape)
-        return float(np.max(np.abs(num - ref)))
-
-    return max_over_points(per_point, points)
+    num = poisson_bracket(N, N, params, z)
+    ref = np.stack(
+        [evaluate(structure_bracket(e1, e2), params, z) for e1 in basis for e2 in basis],
+        axis=-1,
+    )
+    return _worst(num - ref.reshape(num.shape))
 
 
 #: Random holomorphic polynomials in the polarization check, and their degree.
@@ -124,7 +126,11 @@ def _polynomial(z, terms):
     for k, c in terms.items():
         term = c
         for a, e in enumerate(k):
-            term = term * z[..., a] ** e
+            # Named, so that numpy cannot write the product into the power's
+            # buffer: it does so only for arrays of 256 KiB or more, and the
+            # product's last bit would then depend on how many points share z.
+            power = z[..., a] ** e
+            term = term * power
         total = total + term
     return total
 
@@ -145,7 +151,8 @@ def polarization_residuals(
         axis=-1,
     )
     control = lambda z: np.conj(z[..., 0]) ** 2
+    z = np.asarray(points, dtype=complex)
     return (
-        preserves_polarization(preserving, params, list(points)),
-        preserves_polarization(control, params, list(points)),
+        preserves_polarization(preserving, params, z),
+        preserves_polarization(control, params, z),
     )

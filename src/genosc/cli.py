@@ -59,11 +59,12 @@ VERIFY_CHECKS = (
 
 ENV_PREFIX = "GENOSC_"
 
-#: Most complex values one verify sample may hold at once.  The largest array
-#: is the nested polarization stencil of the m^2 + 4 fields, 64 m^2 (m^2 + 4)
-#: values; peak RSS grew by about 80 bytes per value from m = 4 to m = 16
-#: (CHANGES.md has the measurements), so this allows m <= 16 and keeps a run
-#: under about 0.45 GB.
+#: Most complex values one chunk of verify points may hold at once.  The
+#: largest array is the nested polarization stencil of the m^2 + 4 fields,
+#: 64 m^2 (m^2 + 4) values per point; peak RSS grew by about 80 bytes per
+#: value from m = 4 to m = 16 (CHANGES.md has the measurements), so this
+#: allows m <= 16, with one point per chunk there, and keeps a run under
+#: about 0.45 GB.
 MAX_STENCIL_VALUES = 5_000_000
 
 
@@ -148,14 +149,20 @@ def _cmd_verify(args, parser) -> int:
             points = sample_points(params, args.samples, args.seed, args.margin)
             if not all(math.isfinite(p.r) for p in points):
                 raise OverflowError
+            # Each campaign runs once per chunk of points; a residual is the
+            # max over the chunks.
+            size = max(1, MAX_STENCIL_VALUES // stencil_values)
+            chunks = [points[i : i + size] for i in range(0, len(points), size)]
+            worst = lambda campaign: max(campaign(params, chunk) for chunk in chunks)
             residuals = {
-                "det": det_residual(params, points),
-                "inverse": inverse_residual(params, points),
-                "ricci": ricci_residual(params, points),
-                "field": field_residual(params, points),
-                "bracket": bracket_residual(params, points),
+                "det": worst(det_residual),
+                "inverse": worst(inverse_residual),
+                "ricci": worst(ricci_residual),
+                "field": worst(field_residual),
+                "bracket": worst(bracket_residual),
             }
-            pol, control = polarization_residuals(params, points, poly_seed=args.seed)
+            pairs = [polarization_residuals(params, c, poly_seed=args.seed) for c in chunks]
+            pol, control = (max(column) for column in zip(*pairs))
     except (OverflowError, FloatingPointError):
         parser.error(
             f"--a {args.a:g} is too large at --m {args.m}: r^m or the metric overflows a float"

@@ -144,16 +144,21 @@ def _profile(params: OscillatorParams, p) -> tuple[np.ndarray, PotentialProfile]
     return z, radial_profile(params, r)
 
 
-def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g[..., a, b] = g_{ab'} at points p (..., m) and its
-    Sherman-Morrison inverse, cross-checked against direct numerical
-    inversion at every point."""
+def _metric_parts(params: OscillatorParams, p):
+    """The metric g[..., a, b] = g_{ab'} = u'' zbar^a z^b + u' delta_ab at
+    points p (..., m), with the points as an array z, the outer products
+    zbar^a z^b and the radial profile it is built from."""
     z, prof = _profile(params, p)
     outer = np.conj(z)[..., :, None] * z[..., None, :]
-    eye = np.eye(params.m)
-    g = prof.u_double_prime * outer + prof.u_prime * eye
+    return prof.u_double_prime * outer + prof.u_prime * np.eye(params.m), z, outer, prof
+
+
+def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray]:
+    """The metric g at points p (..., m) and its Sherman-Morrison inverse,
+    cross-checked against direct numerical inversion at every point."""
+    g, z, outer, prof = _metric_parts(params, p)
     # Sherman-Morrison form of the inverse; satisfies g @ g_inv = I.
-    g_inv = (eye - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
+    g_inv = (np.eye(params.m) - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
     deviation = np.max(np.abs(g_inv - np.linalg.inv(g)), axis=(-2, -1))
     worst = np.argmax(deviation)
     if np.ravel(deviation)[worst] > INVERSE_CONSISTENCY_TOL:
@@ -199,8 +204,10 @@ def wirtinger(field: ScalarField, p, kind: str) -> np.ndarray:
 
 
 def _log_det(params: OscillatorParams, p) -> np.ndarray:
-    """log det g at points p (..., m)."""
-    sign, logdet = np.linalg.slogdet(_metric(params, p)[0])
+    """log det g at points p (..., m), from the closed-form g alone: Ricci
+    differentiates it at 64 m^2 nested stencil points per sample, so the
+    inverse cross-check is left to metric_at and the Hamiltonian fields."""
+    sign, logdet = np.linalg.slogdet(_metric_parts(params, p)[0])
     if np.any(sign.real <= 0):
         raise ConditioningError("metric lost positive definiteness on the stencil")
     return logdet

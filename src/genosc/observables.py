@@ -16,7 +16,6 @@ from .exact import I, ComplexRational, ZERO, _coerce
 from .geometry import (
     ANTIHOLOMORPHIC,
     OscillatorParams,
-    PhasePoint,
     ScalarField,
     _metric,
     _profile,
@@ -58,13 +57,6 @@ class AlgebraElement:
     def hamiltonian(cls, m: int) -> "AlgebraElement":
         """H = sum_a N^{aa'}, the generalized-oscillator energy."""
         return cls(m, {(a, a): 1 for a in range(m)})
-
-    @property
-    def is_real(self) -> bool:
-        """True iff the element represents a real-valued function."""
-        return not self.constant.im and all(
-            self.terms.get((b, a), ZERO) == c.conjugate() for (a, b), c in self.terms.items()
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -145,17 +137,14 @@ def closed_form_field(alpha: int, beta: int, p) -> TangentVector:
     return TangentVector(holo, anti)
 
 
-def preserves_polarization(
-    f: ScalarField, params: OscillatorParams, samples: list[PhasePoint]
-) -> float:
+def preserves_polarization(f: ScalarField, params: OscillatorParams, p) -> float:
     """Residual of the test whether f preserves the antiholomorphic polarization.
 
-    At each sample the holomorphic components of X_f must be antiholomorphically
-    constant; the residual is max over samples, components and directions of
-    |dbar_b (X_f)^a_holo|.  An array-valued f is tested entry by entry.
+    At points p (..., m), an array of points or a sequence of PhasePoints,
+    the holomorphic components of X_f must be antiholomorphically constant;
+    the residual is max over points, components and directions of
+    |dbar_b (X_f)^a_holo|, from one nested stencil over all the points.  An
+    array-valued f is tested entry by entry.
     """
     holo = lambda q: _holo_part(f, _metric(params, q)[1], q)
-    return max(
-        (float(np.max(np.abs(wirtinger(holo, p, ANTIHOLOMORPHIC)))) for p in samples),
-        default=0.0,
-    )
+    return float(np.max(np.abs(wirtinger(holo, p, ANTIHOLOMORPHIC))))

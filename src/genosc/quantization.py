@@ -18,7 +18,7 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import ComplexRational, ZERO, _coerce
+from .exact import ComplexRational, _coerce
 from .geometry import OscillatorParams
 from .observables import AlgebraElement, structure_bracket
 
@@ -117,13 +117,6 @@ class QuantumOperator:
     @property
     def is_zero(self) -> bool:
         return not any(self.matrix(p) for p in {t[0] for t in self.terms})
-
-    def entry(self, row: int, col: int, power: int) -> ComplexRational:
-        return self.matrix(power).get((row, col), ZERO)
-
-    def trace(self, power: int) -> ComplexRational:
-        diagonal = [v for (r, c), v in self.matrix(power).items() if r == c]
-        return sum(diagonal, ZERO)
 
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
         self._check(other)

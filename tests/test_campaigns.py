@@ -27,11 +27,11 @@ def counting(monkeypatch, name):
         (campaigns.bracket_residual, "poisson_bracket"),
     ],
 )
-def test_one_differentiation_per_point(monkeypatch, residual, differentiator):
+def test_one_differentiation_per_chunk(monkeypatch, residual, differentiator):
     points = sample_points(P2_CURVED, 3, seed=61)
     calls = counting(monkeypatch, differentiator)
     assert residual(P2_CURVED, points) < 1e-7
-    assert len(calls) == len(points)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -53,11 +53,10 @@ def test_polarization_residuals_one_call_per_field_family(monkeypatch):
     assert preserved <= 1e-5 and control >= 1.0
 
 
-def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
-    # 2 for the field, 4 for the bracket, 2 for Ricci and 4 for polarization;
-    # the campaigns other than det and inverse take the metric from the kernel.
-    calls = {"wirtinger": 0, "metric_at": 0}
-    for name in calls:
+def counting_geometry(monkeypatch, *names):
+    """Count the calls of geometry.<name> made from every genosc module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(geometry, name)
 
         def wrapper(*args, name=name, original=original):
@@ -67,8 +66,56 @@ def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, 
         for module in (geometry, symplectic, observables, campaigns, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
+    # 2 for the field, 4 for the bracket, 2 for Ricci and 4 for polarization;
+    # the campaigns other than det and inverse take the metric from the kernel.
+    calls = counting_geometry(monkeypatch, "wirtinger", "metric_at")
     assert cli.main(["verify", "--m", "2", "--a", "1", "--samples", "1", "--seed", "5"]) == 0
     assert calls == {"wirtinger": 12, "metric_at": 2}
+
+
+def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
+    # 1 and 10 points both fit in one chunk, and each kernel call takes all of them.
+    calls = counting_geometry(monkeypatch, "wirtinger")
+    counts = []
+    for samples in ("1", "10"):
+        calls["wirtinger"] = 0
+        argv = ["verify", "--m", "2", "--a", "1", "--samples", samples, "--seed", "5"]
+        assert cli.main(argv) == 0
+        counts.append(calls["wirtinger"])
+    assert counts == [12, 12]
+
+
+@pytest.mark.parametrize("m, samples", [(4, 20), (6, 14)])
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, capsys, m, samples):
+    argv = ["verify", "--m", str(m), "--a", "1", "--samples", str(samples)]
+    per_point = 64 * m**2 * (m**2 + 4)
+    ricci, calls = cli.ricci_residual, []
+    monkeypatch.setattr(cli, "ricci_residual", lambda *args: calls.append(args) or ricci(*args))
+    reports = []
+    for size in (1, 7, samples):
+        monkeypatch.setattr(cli, "MAX_STENCIL_VALUES", size * per_point)
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == -(-samples // size)  # one call per chunk
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_polynomial_does_not_depend_on_the_array_size():
+    # 20 000 points: each power z^a ** e is a temporary of 320 KB, above the
+    # 256 KiB from which numpy may reuse a temporary's buffer for the product.
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
+    terms = {(2, 1): 0.3 - 1.1j, (0, 3): -0.7 + 0.2j, (1, 1): 1.3 + 0.9j}
+    whole = campaigns._polynomial(z, terms)
+    sliced = np.concatenate(
+        [campaigns._polynomial(z[i : i + 100], terms) for i in range(0, len(z), 100)]
+    )
+    assert whole.tobytes() == sliced.tobytes()
 
 
 def test_random_polynomials_draw_one_index_per_term(monkeypatch):

@@ -314,23 +314,3 @@ class TestPolarization:
             )
             got = preserves_polarization(f, params, samples)
             assert got == pytest.approx(oracle, rel=1e-12)
-
-
-class TestRealityFlag:
-    def test_hermitian_is_real(self):
-        assert AlgebraElement.hamiltonian(3).is_real
-        e = AlgebraElement(
-            2,
-            {
-                (0, 0): ComplexRational.of(1),
-                (0, 1): ComplexRational.of(0, 1),
-                (1, 0): ComplexRational.of(0, -1),
-                (1, 1): ComplexRational.of(2),
-            },
-            ComplexRational.of(Fraction(1, 2)),
-        )
-        assert e.is_real
-
-    def test_non_hermitian_is_not_real(self):
-        assert not AlgebraElement.basis(2, 0, 1).is_real
-        assert not AlgebraElement(2, constant=ComplexRational.of(0, 1)).is_real
