@@ -121,16 +121,20 @@ def random_holomorphic_polynomials(m: int, count: int, seed: int):
 
 
 def _polynomial(z, terms):
-    """sum_k c_k z^k at points z (..., m), for terms {k: c_k}."""
-    total = 0j
+    """sum_k c_k z^k at points z (..., m), for terms {k: c_k}, of shape (...)
+    also for a constant.  Coordinates with exponent 0 are skipped: their power
+    is exactly 1."""
+    total = np.zeros(z.shape[:-1], dtype=complex)
     for k, c in terms.items():
         term = c
         for a, e in enumerate(k):
-            # Named, so that numpy cannot write the product into the power's
-            # buffer: it does so only for arrays of 256 KiB or more, and the
-            # product's last bit would then depend on how many points share z.
-            power = z[..., a] ** e
-            term = term * power
+            if e:
+                # Named, so that numpy cannot write the product into the
+                # power's buffer: it does so only for arrays of 256 KiB or
+                # more, and the product's last bit would then depend on how
+                # many points share z.
+                power = z[..., a] ** e
+                term = term * power
         total = total + term
     return total
 

@@ -22,24 +22,18 @@ WIRTINGER_STEP = 1e-4
 #: Entrywise tolerance between the closed-form and direct numerical inverse.
 INVERSE_CONSISTENCY_TOL = 1e-8
 
-HOLOMORPHIC = "holomorphic"
-ANTIHOLOMORPHIC = "antiholomorphic"
-
 # 4th-order central differences, f'(x) ~ sum_k w_k f(x + c_k h) / (12 h), taken
 # along x and y and combined as d/dz = (d_x - i d_y) / 2, d/dzbar = (d_x + i d_y) / 2.
-# Per kind: (displacement, weight) pairs, the displacement c_k or i c_k in units
-# of h and the weight w_k or -+i w_k, whose weighted sum of field values is 24 h
+# The 8 displacements, c_k or i c_k in units of h, serve both kinds; each kind
+# weighs them by w_k or -+i w_k, and its weighted sum of field values is 24 h
 # times the derivative.  The integer weights stay exact and opposite offsets are
 # adjacent, so a constant field sums to exactly 0.
 _STENCIL = ((-2.0, 1.0), (2.0, -1.0), (-1.0, -8.0), (1.0, 8.0))
-_WIRTINGER_STENCIL = {
-    kind: tuple(
-        (c * axis, w * coef)
-        for axis, coef in ((1.0, 1.0), (1j, ycoef))
-        for c, w in _STENCIL
-    )
-    for kind, ycoef in ((HOLOMORPHIC, -1j), (ANTIHOLOMORPHIC, 1j))
-}
+_WIRTINGER_SHIFTS = tuple(c * axis for axis in (1.0, 1j) for c, _ in _STENCIL)
+#: The weights of d/dz^a and of d/dzbar^a, in the order of _WIRTINGER_SHIFTS.
+_WIRTINGER_WEIGHTS = tuple(
+    tuple(w * coef for coef in (1.0, ycoef) for _, w in _STENCIL) for ycoef in (-1j, 1j)
+)
 
 _MAX_REJECTIONS = 10_000
 
@@ -104,32 +98,45 @@ class MetricData:
 def _pow(x, y):
     """x ** y elementwise through Python floats, which call the C library's pow.
 
-    numpy's own float pow is vectorized on some CPUs (SVML on AVX-512) and
-    then differs in the last bit for about 5 % of arguments, so reports would
-    depend on the machine.  Overflow raises OverflowError, as on floats.
+    radial_profile needs it once, for the m-th root.  numpy's own float pow is
+    vectorized on some CPUs (SVML on AVX-512) and then differs in the last bit
+    for about 5 % of arguments, so reports would depend on the machine.
     """
     return np.asarray(np.asarray(x, dtype=float).astype(object) ** y, dtype=float)[()]
+
+
+def _power(x, n: int):
+    """x ** n for an integer n >= 0 as the float product 1 * x * ... * x,
+    multiplied left to right: IEEE multiplication gives the same bits on
+    every machine, where the C library's pow does not."""
+    out = 1.0
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
     """Evaluate u', u'' and the auxiliary scalars s = r u', s' = u' + r u''
     at r, a float or an array of radii.
 
-    Raises DomainError if any r is at or below the degeneration radius
-    r^m = a^m.
+    The integer powers a^m, r^m, r^2 and s^(m-1) are float products and the
+    root s = (r^m - a^m)^(1/m) is one _pow call.  Raises DomainError if any r
+    is at or below the degeneration radius r^m = a^m, and FloatingPointError
+    if a power overflows a float.
     """
-    m, a = params.m, params.a
+    m = params.m
     r = np.asarray(r, dtype=float)
-    a_m = a**m
-    dom = _pow(r, m) - a_m
-    bad = (r <= 0) | (dom <= 0)
-    if np.count_nonzero(bad):
-        i = np.argmax(bad)
-        raise DomainError(f"r^m - a^m = {np.ravel(dom)[i]:g} <= 0 at r = {np.ravel(r)[i]:g}")
-    s = _pow(dom, 1.0 / m)
-    u_prime = s / r
-    u_double_prime = a_m / (_pow(r, 2) * _pow(s, m - 1))
-    return PotentialProfile(u_prime, u_double_prime, s, u_prime + r * u_double_prime)
+    with np.errstate(over="raise"):
+        a_m = _power(np.float64(params.a), m)
+        dom = _power(r, m) - a_m
+        bad = (r <= 0) | (dom <= 0)
+        if np.count_nonzero(bad):
+            i = np.argmax(bad)
+            raise DomainError(f"r^m - a^m = {np.ravel(dom)[i]:g} <= 0 at r = {np.ravel(r)[i]:g}")
+        s = _pow(dom, 1.0 / m)
+        u_prime = s / r
+        u_double_prime = a_m / (r * r * _power(s, m - 1))
+        return PotentialProfile(u_prime, u_double_prime, s, u_prime + r * u_double_prime)
 
 
 def _profile(params: OscillatorParams, p) -> tuple[np.ndarray, PotentialProfile]:
@@ -181,26 +188,25 @@ def metric_at(params: OscillatorParams, p: PhasePoint) -> MetricData:
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
 
-def wirtinger(field: ScalarField, p, kind: str) -> np.ndarray:
+def wirtinger(field: ScalarField, p) -> tuple[np.ndarray, np.ndarray]:
     """Numerical Wirtinger derivatives of a field along every coordinate.
 
-    kind selects d/dz^a (``holomorphic``, = (d_x - i d_y)/2) or d/dzbar^a
-    (``antiholomorphic``, = (d_x + i d_y)/2).  Uses 4th-order central
-    differences on the real and imaginary parts: the stencil of points p
-    (..., m) has shape (..., m, 8, m) and the field is called on it once.
-    Returns the m derivatives, of shape (..., m, *shape).
+    Returns (d, dbar): d/dz^a = (d_x - i d_y)/2 and d/dzbar^a = (d_x + i d_y)/2
+    for all m coordinates, each of shape (..., m, *shape).  Uses 4th-order
+    central differences on the real and imaginary parts: the stencil of points
+    p (..., m) has shape (..., m, 8, m), the field is called on it once, and
+    the two kinds are two weightings of the same values.
     """
-    if kind not in (HOLOMORPHIC, ANTIHOLOMORPHIC):
-        raise ValueError(f"kind must be {HOLOMORPHIC!r} or {ANTIHOLOMORPHIC!r}, got {kind!r}")
     z = np.asarray(p, dtype=complex)
-    shifts, weights = zip(*_WIRTINGER_STENCIL[kind])
     h = WIRTINGER_STEP * np.maximum(1.0, np.abs(z))
     # Coordinate a of the stencil's row a moves by shift * h[a]; the others stay.
-    moves = (h[..., :, None] * np.array(shifts))[..., None] * np.eye(z.shape[-1])[:, None, :]
+    shifts = np.array(_WIRTINGER_SHIFTS)
+    moves = (h[..., :, None] * shifts)[..., None] * np.eye(z.shape[-1])[:, None, :]
     values = np.moveaxis(field(z[..., None, None, :] + moves), z.ndim, 0)
+    scale = 24.0 * h.reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim))
     # Summed in table order, so a constant field gives exactly 0.
-    total = sum(w * v for w, v in zip(weights, values))
-    return total / (24.0 * h.reshape(h.shape + (1,) * (total.ndim - h.ndim)))
+    d, dbar = (sum(w * v for w, v in zip(weights, values)) for weights in _WIRTINGER_WEIGHTS)
+    return d / scale, dbar / scale
 
 
 def _log_det(params: OscillatorParams, p) -> np.ndarray:
@@ -216,8 +222,8 @@ def _log_det(params: OscillatorParams, p) -> np.ndarray:
 def ricci_at(params: OscillatorParams, p) -> np.ndarray:
     """Ricci tensor R_{ab'} = -d_a d_b' log det g by nested Wirtinger
     differencing; expected to vanish to the finite-difference noise floor."""
-    dbar_log_det = lambda q: wirtinger(lambda x: _log_det(params, x), q, ANTIHOLOMORPHIC)
-    return -wirtinger(dbar_log_det, p, HOLOMORPHIC)
+    dbar_log_det = lambda q: wirtinger(lambda x: _log_det(params, x), q)[1]
+    return -wirtinger(dbar_log_det, p)[0]
 
 
 def sample_points(

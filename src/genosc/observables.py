@@ -13,14 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .exact import I, ComplexRational, ZERO, _coerce
-from .geometry import (
-    ANTIHOLOMORPHIC,
-    OscillatorParams,
-    ScalarField,
-    _metric,
-    _profile,
-    wirtinger,
-)
+from .geometry import OscillatorParams, ScalarField, _metric, _profile, wirtinger
 from .symplectic import TangentVector, _holo_part
 
 
@@ -147,4 +140,4 @@ def preserves_polarization(f: ScalarField, params: OscillatorParams, p) -> float
     array-valued f is tested entry by entry.
     """
     holo = lambda q: _holo_part(f, _metric(params, q)[1], q)
-    return float(np.max(np.abs(wirtinger(holo, p, ANTIHOLOMORPHIC))))
+    return float(np.max(np.abs(wirtinger(holo, p)[1])))

@@ -10,14 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    ANTIHOLOMORPHIC,
-    HOLOMORPHIC,
-    OscillatorParams,
-    ScalarField,
-    _metric,
-    wirtinger,
-)
+from .geometry import OscillatorParams, ScalarField, _metric, wirtinger
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,20 +44,23 @@ def _contract(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 def _holo_part(f: ScalarField, g_inv: np.ndarray, p) -> np.ndarray:
     """The holomorphic components holo[a] = i ginv[b][a] dbar_b f of X_f at p,
     which need only the antiholomorphic derivatives of f."""
-    return 1j * _contract(g_inv, wirtinger(f, p, ANTIHOLOMORPHIC), g_inv.ndim - 2)
+    return 1j * _contract(g_inv, wirtinger(f, p)[1], g_inv.ndim - 2)
 
 
 def hamiltonian_field(f: ScalarField, params: OscillatorParams, p) -> TangentVector:
     """Hamiltonian vector field of f at points p (..., m), from i_{X_f} Omega = -df.
 
     Componentwise: holo[a] = i ginv[b][a] dbar_b f, anti[b] = -i ginv[b][a] d_a f,
-    with the Wirtinger derivatives taken numerically.  For an array-valued f
-    the components have shape (..., m, *f.shape): one field per entry of f.
+    with both kinds of Wirtinger derivative taken numerically from one
+    evaluation of f on the stencil.  For an array-valued f the components
+    have shape (..., m, *f.shape): one field per entry of f.
     """
     g_inv = _metric(params, p)[1]
-    d = wirtinger(f, p, HOLOMORPHIC)
-    anti = -1j * _contract(np.swapaxes(g_inv, -1, -2), d, g_inv.ndim - 2)
-    return TangentVector(_holo_part(f, g_inv, p), anti)
+    d, dbar = wirtinger(f, p)
+    axis = g_inv.ndim - 2
+    return TangentVector(
+        1j * _contract(g_inv, dbar, axis), -1j * _contract(np.swapaxes(g_inv, -1, -2), d, axis)
+    )
 
 
 def poisson_bracket(f: ScalarField, g: ScalarField, params: OscillatorParams, p) -> np.ndarray:
@@ -76,11 +72,11 @@ def poisson_bracket(f: ScalarField, g: ScalarField, params: OscillatorParams, p)
 def apply_field(X: VectorField, h: ScalarField, p) -> np.ndarray:
     """Directional derivative X(h)(p) = X^a d_a h + Xbar^b dbar_b h, contracted
     on the coordinate axis: of shape X.shape + h.shape per point, where
-    X.shape is that of X's components after the coordinate axis."""
+    X.shape is that of X's components after the coordinate axis.  h is
+    evaluated once on the stencil for both kinds of derivative."""
     Xp, axis = X(p), np.ndim(p) - 1
-    return _contract(Xp.holo, wirtinger(h, p, HOLOMORPHIC), axis) + _contract(
-        Xp.anti, wirtinger(h, p, ANTIHOLOMORPHIC), axis
-    )
+    d, dbar = wirtinger(h, p)
+    return _contract(Xp.holo, d, axis) + _contract(Xp.anti, dbar, axis)
 
 
 def _stacked(V: VectorField) -> ScalarField:

@@ -69,12 +69,14 @@ def counting_geometry(monkeypatch, *names):
     return calls
 
 
-def test_one_verify_point_makes_12_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
-    # 2 for the field, 4 for the bracket, 2 for Ricci and 4 for polarization;
-    # the campaigns other than det and inverse take the metric from the kernel.
+def test_one_verify_point_makes_9_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
+    # Each call gives both kinds of derivative: 1 for the field, 2 for the
+    # bracket (the field of N, then N differentiated along it), 2 for Ricci
+    # and 4 for polarization (2 field families, each nested once); the
+    # campaigns other than det and inverse take the metric from the kernel.
     calls = counting_geometry(monkeypatch, "wirtinger", "metric_at")
     assert cli.main(["verify", "--m", "2", "--a", "1", "--samples", "1", "--seed", "5"]) == 0
-    assert calls == {"wirtinger": 12, "metric_at": 2}
+    assert calls == {"wirtinger": 9, "metric_at": 2}
 
 
 def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
@@ -86,12 +88,18 @@ def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
         argv = ["verify", "--m", "2", "--a", "1", "--samples", samples, "--seed", "5"]
         assert cli.main(argv) == 0
         counts.append(calls["wirtinger"])
-    assert counts == [12, 12]
+    assert counts == [9, 9]
 
 
-@pytest.mark.parametrize("m, samples", [(4, 20), (6, 14)])
-def test_report_does_not_depend_on_the_chunk_size(monkeypatch, capsys, m, samples):
-    argv = ["verify", "--m", str(m), "--a", "1", "--samples", str(samples)]
+@pytest.mark.parametrize(
+    "m, a, samples",
+    # At m = 3 and a = 0.8, the powers of the radial profile are float
+    # products over arrays whose size is set by the chunk.
+    [(4, "1", 20), (6, "1", 14), (3, "0.8", 20)],
+    ids=["4-20", "6-14", "3-0.8-20"],
+)
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, capsys, m, a, samples):
+    argv = ["verify", "--m", str(m), "--a", a, "--samples", str(samples)]
     per_point = 64 * m**2 * (m**2 + 4)
     ricci, calls = cli.ricci_residual, []
     monkeypatch.setattr(cli, "ricci_residual", lambda *args: calls.append(args) or ricci(*args))
@@ -116,6 +124,35 @@ def test_polynomial_does_not_depend_on_the_array_size():
         [campaigns._polynomial(z[i : i + 100], terms) for i in range(0, len(z), 100)]
     )
     assert whole.tobytes() == sliced.tobytes()
+
+
+def all_exponent_polynomial(z, terms):
+    """sum_k c_k z^k with every coordinate raised to its exponent, 0 included."""
+    total = 0j
+    for k, c in terms.items():
+        term = c
+        for a, e in enumerate(k):
+            power = z[..., a] ** e
+            term = term * power
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 2): 0.3 - 1.1j, (1, 0, 1): -0.7 + 0.2j, (0, 3, 0): 1.3 + 0.9j},
+        {(0, 0, 0): -0.4 + 2.1j, (2, 0, 1): 0.8 - 0.5j},
+        {(0, 0, 0): 1.7 - 0.6j},
+    ],
+    ids=["zero-exponents", "with-constant", "constant-only"],
+)
+def test_polynomial_skips_zero_exponents_bit_for_bit(terms):
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    got = campaigns._polynomial(z, terms)
+    assert got.shape == (2, 5)
+    assert got.tobytes() == all_exponent_polynomial(z, terms).tobytes()
 
 
 def test_random_polynomials_draw_one_index_per_term(monkeypatch):

@@ -15,15 +15,24 @@ from genosc import (
     sample_points,
     wirtinger,
 )
+from genosc import geometry
 from genosc.geometry import (
-    _WIRTINGER_STENCIL,
-    ANTIHOLOMORPHIC,
-    HOLOMORPHIC,
+    _WIRTINGER_SHIFTS,
+    _WIRTINGER_WEIGHTS,
     WIRTINGER_STEP,
     _log_det,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+#: The kinds of Wirtinger derivative, by their index in wirtinger's (d, dbar).
+HOLOMORPHIC, ANTIHOLOMORPHIC = "holomorphic", "antiholomorphic"
+KIND = {HOLOMORPHIC: 0, ANTIHOLOMORPHIC: 1}
+
+
+def stencil(kind):
+    """The (displacement, weight) pairs of one kind, in table order."""
+    return tuple(zip(_WIRTINGER_SHIFTS, _WIRTINGER_WEIGHTS[KIND[kind]]))
 
 
 class TestRadialProfile:
@@ -58,6 +67,26 @@ class TestRadialProfile:
             2 * h
         )
         assert radial_profile(params, r).u_double_prime == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("m,r", [(2, 1e200), (3, 1e120)])
+    def test_overflowing_power_raises(self, m, r):
+        # r^m overflows a float: the profile must not go on with inf.
+        with pytest.raises(FloatingPointError):
+            radial_profile(OscillatorParams(m=m), r)
+        with pytest.raises(FloatingPointError):
+            radial_profile(OscillatorParams(m=m, a=1.0), np.array([2.0, r]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_one_pow_per_profile(self, monkeypatch, m):
+        # Only the m-th root goes through the C library's pow.
+        calls = []
+        pow_ = geometry._pow
+        monkeypatch.setattr(geometry, "_pow", lambda *args: calls.append(args) or pow_(*args))
+        radial_profile(OscillatorParams(m=m, a=0.9), np.linspace(1.0, 3.0, 5))
+        assert len(calls) == 1 and calls[0][1] == 1.0 / m
+        calls.clear()
+        metric_at(OscillatorParams(m=m, a=0.9), PhasePoint([1.1] * m))
+        assert len(calls) == 1
 
 
 class TestMetric:
@@ -105,7 +134,7 @@ def scalar_wirtinger(field, z, kind):
     for a in range(len(z)):
         h = WIRTINGER_STEP * max(1.0, abs(z[a]))
         total = 0j
-        for shift, weight in _WIRTINGER_STENCIL[kind]:
+        for shift, weight in stencil(kind):
             q = z.copy()
             q[a] += shift * h
             total = total + weight * np.asarray(field(q))
@@ -121,8 +150,8 @@ def hand_built_ricci(params, p):
     h = WIRTINGER_STEP * np.maximum(1.0, np.abs(z))
     nested = [
         (si, sj, wi * wj)
-        for si, wi in _WIRTINGER_STENCIL[HOLOMORPHIC]
-        for sj, wj in _WIRTINGER_STENCIL[ANTIHOLOMORPHIC]
+        for si, wi in stencil(HOLOMORPHIC)
+        for sj, wj in stencil(ANTIHOLOMORPHIC)
     ]
     points = []
     for i in range(m):
@@ -146,17 +175,17 @@ ORACLE_FIELDS = {
 
 class TestWirtinger:
     def test_polynomial_derivative(self):
-        d = wirtinger(lambda z: z[..., 0] * z[..., 0], PhasePoint([3, 0]), HOLOMORPHIC)
+        d = wirtinger(lambda z: z[..., 0] * z[..., 0], PhasePoint([3, 0]))[0]
         assert d.shape == (2,)
         assert d[0] == pytest.approx(6.0, rel=1e-9)
         assert d[1] == 0
 
     def test_antiholomorphic_kills_holomorphic(self):
-        d = wirtinger(lambda z: z[..., 0], PhasePoint([1.3 + 0.4j, 2]), ANTIHOLOMORPHIC)
+        d = wirtinger(lambda z: z[..., 0], PhasePoint([1.3 + 0.4j, 2]))[1]
         assert np.max(np.abs(d)) < 1e-10
 
     def test_derivative_of_r(self):
-        d = wirtinger(radius, PhasePoint([2 + 1j, 0]), HOLOMORPHIC)
+        d = wirtinger(radius, PhasePoint([2 + 1j, 0]))[0]
         assert d[0] == pytest.approx(2 - 1j, rel=1e-9)
 
     def test_stencil_domain_guard(self):
@@ -165,7 +194,7 @@ class TestWirtinger:
         near_boundary = PhasePoint([1.0000000001, 0])
         assert moment_map(params, near_boundary).shape == (2, 2)
         with pytest.raises(DomainError):
-            wirtinger(lambda z: moment_map(params, z), near_boundary, HOLOMORPHIC)
+            wirtinger(lambda z: moment_map(params, z), near_boundary)
 
     @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
     def test_array_field_matches_componentwise(self, kind):
@@ -176,8 +205,8 @@ class TestWirtinger:
         ]
         field = lambda z: np.stack([f(z) for f in comps], axis=-1)
         point = PhasePoint([0.7 - 0.2j, 1.3 + 0.5j])
-        got = wirtinger(field, point, kind)
-        want = np.stack([wirtinger(f, point, kind) for f in comps], axis=-1)
+        got = wirtinger(field, point)[KIND[kind]]
+        want = np.stack([wirtinger(f, point)[KIND[kind]] for f in comps], axis=-1)
         assert got.shape == (2, 3)
         assert np.allclose(got, want, rtol=1e-14, atol=0)
 
@@ -187,23 +216,25 @@ class TestWirtinger:
         points = [PhasePoint([1.3 + 0.4j, -2.2j]), np.full((2, 3, 2), 0.4 - 7j)]
         for p in points:
             batch = np.shape(p)[:-1]
-            got = wirtinger(lambda z: np.full(z.shape[:-1], value), p, kind)
+            got = wirtinger(lambda z: np.full(z.shape[:-1], value), p)[KIND[kind]]
             assert np.array_equal(got, np.zeros(batch + (2,)))
-            got = wirtinger(lambda z: np.full(z.shape[:-1] + (2,), [value, 1.0]), p, kind)
+            got = wirtinger(lambda z: np.full(z.shape[:-1] + (2,), [value, 1.0]), p)[KIND[kind]]
             assert np.array_equal(got, np.zeros(batch + (2, 2)))
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            wirtinger(radius, PhasePoint([1, 1]), "mixed")
 
     @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
     @pytest.mark.parametrize("kind", [HOLOMORPHIC, ANTIHOLOMORPHIC])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_scalar_oracle(self, m, kind, field):
+        # One field call gives both kinds.
         rng = np.random.default_rng(m)
+        calls = []
+        counted = lambda q: calls.append(q.shape) or field(q)
         for _ in range(4):
             z = 1.5 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            got, want = wirtinger(field, z, kind), scalar_wirtinger(field, z, kind)
+            calls.clear()
+            got = wirtinger(counted, z)[KIND[kind]]
+            assert calls == [(m, 8, m)]
+            want = scalar_wirtinger(field, z, kind)
             assert got.shape == want.shape == (m, *np.shape(field(z)))
             scale = max(1.0, float(np.max(np.abs(field(z)))))
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -214,8 +245,8 @@ class TestWirtinger:
     def test_batch_equals_per_point(self, m, kind, field):
         rng = np.random.default_rng(10 + m)
         Z = rng.standard_normal((2, 3, m)) + 1j * rng.standard_normal((2, 3, m))
-        got = wirtinger(field, Z, kind)
-        want = [[wirtinger(field, Z[i, j], kind) for j in range(3)] for i in range(2)]
+        got = wirtinger(field, Z)[KIND[kind]]
+        want = [[wirtinger(field, Z[i, j])[KIND[kind]] for j in range(3)] for i in range(2)]
         assert np.array_equal(got, np.array(want))
 
 

@@ -25,7 +25,6 @@ from genosc import (
     wirtinger,
 )
 from genosc.exact import ZERO
-from genosc.geometry import ANTIHOLOMORPHIC
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
 P2_CURVED = OscillatorParams(m=2, a=1.0)
@@ -305,8 +304,8 @@ class TestPolarization:
                 abs(
                     wirtinger(
                         lambda q, a=a: hamiltonian_field(f, params, q).holo[..., a],
-                        p, ANTIHOLOMORPHIC,
-                    )[b]
+                        p,
+                    )[1][b]
                 )
                 for p in samples
                 for a in range(m)
