@@ -46,7 +46,6 @@ from .quantization import (
 from .symplectic import (
     TangentVector,
     hamiltonian_field,
-    lie_bracket_fields,
     poisson_bracket,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "TangentVector",
     "hamiltonian_field",
     "poisson_bracket",
-    "lie_bracket_fields",
     "AlgebraElement",
     "evaluate",
     "moment_map",

@@ -43,13 +43,9 @@ def det_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> floa
 
 
 def inverse_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
-    """max entrywise |closed-form inverse - direct numerical inverse|."""
-
-    def per_point(p: PhasePoint) -> float:
-        md = metric_at(params, p)
-        return float(np.max(np.abs(md.g_inv - np.linalg.inv(md.g))))
-
-    return max_over_points(per_point, points)
+    """max entrywise |closed-form inverse - direct numerical inverse|, as
+    metric_at measures it for its own cross-check."""
+    return max_over_points(lambda p: metric_at(params, p).inverse_deviation, points)
 
 
 def _worst(deviation: np.ndarray) -> float:
@@ -65,19 +61,10 @@ def ricci_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> fl
 def field_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max deviation of the numeric Hamiltonian field of every N^{ab'} from
     the closed form i (z^a d_b - zbar^b d_abar)."""
-    m = params.m
     z = np.asarray(points, dtype=complex)
     num = hamiltonian_field(lambda q: moment_map(params, q), params, z)
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            ref = closed_form_field(a, b, z)
-            worst = max(
-                worst,
-                _worst(num.holo[..., a, b] - ref.holo),
-                _worst(num.anti[..., a, b] - ref.anti),
-            )
-    return worst
+    ref = closed_form_field(z)
+    return max(_worst(num.holo - ref.holo), _worst(num.anti - ref.anti))
 
 
 def bracket_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:

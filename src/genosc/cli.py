@@ -4,9 +4,6 @@ Subcommands: verify | spectrum | dirac | eval.  Reports go to stdout as
 UTF-8 JSON with a fixed key order and floats rendered with 17 significant
 digits; identical flags and seed produce byte-identical output.  Exit codes:
 0 pass, 1 verification failure, 2 usage error (malformed or non-finite input).
-
-Tolerances may also be set through environment variables with the GENOSC_
-prefix (e.g. GENOSC_TOL_DET); explicit flags win over the environment.
 """
 from __future__ import annotations
 
@@ -14,7 +11,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -57,8 +53,6 @@ VERIFY_CHECKS = (
     ("polarization", "polarization"),
 )
 
-ENV_PREFIX = "GENOSC_"
-
 #: Most complex values one chunk of verify points may hold at once.  The
 #: largest array is the nested polarization stencil of the m^2 + 4 fields,
 #: 64 m^2 (m^2 + 4) values per point; peak RSS grew by about 80 bytes per
@@ -97,23 +91,14 @@ def _emit(report: dict):
 
 
 def _tolerances(args) -> dict:
-    """Tolerance per check: the --tol-<name> flag, else GENOSC_TOL_<NAME>,
-    else the default.  Raises ValueError naming a value that is not a finite
-    number."""
+    """Tolerance per check: the --tol-<name> flag, else the default.  Raises
+    ValueError naming a flag that is not a finite number."""
     tols = {}
     for name, default in DEFAULT_TOLERANCES.items():
-        flag = getattr(args, f"tol_{name}", None)
-        env_name = f"{ENV_PREFIX}TOL_{name.upper()}"
-        if flag is not None:
-            source, value = f"--tol-{name}", flag
-        else:
-            source, value = env_name, os.environ.get(env_name, default)
-        try:
-            tols[name] = float(value)
-        except ValueError:
-            tols[name] = math.nan
+        flag = getattr(args, f"tol_{name}")
+        tols[name] = default if flag is None else flag
         if not math.isfinite(tols[name]):
-            raise ValueError(f"{source} must be a finite number, got {value!r}")
+            raise ValueError(f"--tol-{name} must be a finite number, got {flag!r}")
     return tols
 
 
@@ -129,6 +114,8 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--m must be >= 1")
     if args.samples < 1:
         parser.error("--samples must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if not 0 < args.margin < math.inf:
         parser.error("--margin must be positive and finite")
     stencil_values = 64 * args.m**2 * (args.m**2 + 4)

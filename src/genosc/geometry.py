@@ -88,11 +88,14 @@ class PotentialProfile:
 
 @dataclass(frozen=True)
 class MetricData:
-    """Metric matrix g[a][b] = g_{ab'}, its inverse, and determinant."""
+    """Metric matrix g[a][b] = g_{ab'}, its closed-form inverse, its
+    determinant, and the inverse's largest entrywise deviation from the
+    direct numerical inverse of g."""
 
     g: np.ndarray
     g_inv: np.ndarray
     det_g: float
+    inverse_deviation: float
 
 
 def _pow(x, y):
@@ -160,9 +163,10 @@ def _metric_parts(params: OscillatorParams, p):
     return prof.u_double_prime * outer + prof.u_prime * np.eye(params.m), z, outer, prof
 
 
-def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray]:
-    """The metric g at points p (..., m) and its Sherman-Morrison inverse,
-    cross-checked against direct numerical inversion at every point."""
+def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric g at points p (..., m), its Sherman-Morrison inverse and, per
+    point, the inverse's largest entrywise deviation from direct numerical
+    inversion, which must stay within INVERSE_CONSISTENCY_TOL."""
     g, z, outer, prof = _metric_parts(params, p)
     # Sherman-Morrison form of the inverse; satisfies g @ g_inv = I.
     g_inv = (np.eye(params.m) - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
@@ -173,14 +177,14 @@ def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray]:
             f"closed-form and direct inverse disagree by {np.ravel(deviation)[worst]:.3e}"
             f" at z = {z.reshape(-1, params.m)[worst]}"
         )
-    return g, g_inv
+    return g, g_inv, deviation
 
 
 def metric_at(params: OscillatorParams, p: PhasePoint) -> MetricData:
-    """The metric at p, its closed-form inverse (cross-checked against direct
-    numerical inversion) and its determinant."""
-    g, g_inv = _metric(params, p)
-    return MetricData(g=g, g_inv=g_inv, det_g=np.linalg.det(g).real)
+    """The metric at p, its closed-form inverse, its determinant and the
+    inverse's deviation from direct numerical inversion."""
+    g, g_inv, deviation = _metric(params, p)
+    return MetricData(g, g_inv, np.linalg.det(g).real, float(deviation))
 
 
 #: A field on phase space: a function of points z of shape (..., m) whose

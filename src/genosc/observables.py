@@ -75,9 +75,6 @@ class AlgebraElement:
         if self.m != other.m:
             raise DimensionMismatch(f"elements over m = {self.m} and m = {other.m}")
 
-    def as_field(self, params: OscillatorParams) -> ScalarField:
-        return lambda p: evaluate(self, params, p)
-
 
 def moment_map(params: OscillatorParams, p) -> np.ndarray:
     """The basis observables at points p (..., m), N[..., a, b] = u' z^a zbar^b,
@@ -116,17 +113,18 @@ def structure_bracket(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(e1.m, out)
 
 
-def closed_form_field(alpha: int, beta: int, p) -> TangentVector:
-    """The Hamiltonian field of N^{alpha beta'} in closed form at points p:
-    i (z^alpha d_beta - zbar^beta d_alphabar).  Independent of a."""
+def closed_form_field(p) -> TangentVector:
+    """The Hamiltonian fields of every N^{ab'} in closed form at points p
+    (..., m), i (z^a d_b - zbar^b d_abar), independent of a.
+
+    Laid out as hamiltonian_field of the moment map lays them out: component c
+    of the field of N^{ab'} is at [..., c, a, b], so holo[..., c, a, b] =
+    i delta_cb z^a and anti[..., c, a, b] = -i delta_ca zbar^b.
+    """
     z = np.asarray(p, dtype=complex)
-    m = z.shape[-1]
-    if not (0 <= alpha < m and 0 <= beta < m):
-        raise IndexError(f"indices ({alpha}, {beta}) out of range for m = {m}")
-    holo = np.zeros_like(z)
-    anti = np.zeros_like(z)
-    holo[..., beta] = 1j * z[..., alpha]
-    anti[..., alpha] = -1j * np.conj(z[..., beta])
+    eye = np.eye(z.shape[-1])
+    holo = 1j * z[..., None, :, None] * eye[:, None, :]
+    anti = -1j * np.conj(z)[..., None, None, :] * eye[:, :, None]
     return TangentVector(holo, anti)
 
 

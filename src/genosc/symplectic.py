@@ -6,7 +6,6 @@ Conventions (pinned; flipping any one breaks the bracket identities):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,9 +27,6 @@ class TangentVector:
     def __init__(self, holo, anti):
         object.__setattr__(self, "holo", np.asarray(holo, dtype=complex))
         object.__setattr__(self, "anti", np.asarray(anti, dtype=complex))
-
-
-VectorField = Callable[[np.ndarray], TangentVector]
 
 
 def _contract(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -64,33 +60,10 @@ def hamiltonian_field(f: ScalarField, params: OscillatorParams, p) -> TangentVec
 
 
 def poisson_bracket(f: ScalarField, g: ScalarField, params: OscillatorParams, p) -> np.ndarray:
-    """{f, g}(p) = X_f(g)(p) = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g),
-    of shape f.shape + g.shape per point for array-valued f and g."""
-    return apply_field(lambda q: hamiltonian_field(f, params, q), g, p)
-
-
-def apply_field(X: VectorField, h: ScalarField, p) -> np.ndarray:
-    """Directional derivative X(h)(p) = X^a d_a h + Xbar^b dbar_b h, contracted
-    on the coordinate axis: of shape X.shape + h.shape per point, where
-    X.shape is that of X's components after the coordinate axis.  h is
-    evaluated once on the stencil for both kinds of derivative."""
-    Xp, axis = X(p), np.ndim(p) - 1
-    d, dbar = wirtinger(h, p)
-    return _contract(Xp.holo, d, axis) + _contract(Xp.anti, dbar, axis)
-
-
-def _stacked(V: VectorField) -> ScalarField:
-    """The components (holo, anti) of V as one array-valued field."""
-
-    def components(q: np.ndarray) -> np.ndarray:
-        v = V(q)
-        return np.concatenate([v.holo, v.anti], axis=q.ndim - 1)
-
-    return components
-
-
-def lie_bracket_fields(X: VectorField, Y: VectorField, p) -> TangentVector:
-    """Commutator [X, Y] at p, componentwise X(Y^k) - Y(X^k) by numerical
-    directional differentiation of the component functions."""
-    c = apply_field(X, _stacked(Y), p) - apply_field(Y, _stacked(X), p)
-    return TangentVector(*np.split(c, 2, axis=np.ndim(p) - 1))
+    """{f, g}(p) = X_f(g)(p) = X_f^a d_a g + Xbar_f^b dbar_b g
+    = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g), contracted on the
+    coordinate axis: of shape f.shape + g.shape per point for array-valued f
+    and g.  g is evaluated once on the stencil for both kinds of derivative."""
+    X, axis = hamiltonian_field(f, params, p), np.ndim(p) - 1
+    d, dbar = wirtinger(g, p)
+    return _contract(X.holo, d, axis) + _contract(X.anti, dbar, axis)

@@ -52,14 +52,6 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is False
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GENOSC_TOL_DET", "1e-20")
-        code, out, _ = run(
-            capsys, "verify", "--m", "2", "--a", "1", "--samples", "10", "--seed", "3"
-        )
-        assert code == 1
-        assert json.loads(out)["tolerances"]["det"] == 1e-20
-
     def test_byte_reproducibility(self, capsys):
         args = ("verify", "--m", "2", "--a", "1", "--samples", "15", "--seed", "7")
         _, first, _ = run(capsys, *args)
@@ -70,14 +62,6 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--m", "2", "--samples", "1", "--workers", "2"])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf", ""])
-    def test_bad_env_tolerance_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("GENOSC_TOL_DET", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", "2", "--samples", "1"])
-        assert exc.value.code == 2
-        assert "GENOSC_TOL_DET" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--tol-det", "--tol-polarization"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -96,6 +80,7 @@ class TestVerify:
             ["--a", "nan"],
             ["--margin", "nan"],
             ["--margin", "inf"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_params_exit_2(self, capsys, extra):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -137,7 +138,8 @@ class TestMomentMap:
             X = hamiltonian_field(N, params, p)
             assert X.holo.shape == X.anti.shape == (m, m, m)
             for a, b in itertools.product(range(m), repeat=2):
-                ref = hamiltonian_field(AlgebraElement.basis(m, a, b).as_field(params), params, p)
+                f = partial(evaluate, AlgebraElement.basis(m, a, b), params)
+                ref = hamiltonian_field(f, params, p)
                 assert np.max(np.abs(X.holo[:, a, b] - ref.holo)) < 1e-12
                 assert np.max(np.abs(X.anti[:, a, b] - ref.anti)) < 1e-12
 
@@ -145,7 +147,11 @@ class TestMomentMap:
     def test_bracket_entries_match_scalar_brackets(self, params):
         m = params.m
         N = lambda q: moment_map(params, q)
-        fields = [AlgebraElement.basis(m, a, b).as_field(params) for a in range(m) for b in range(m)]
+        fields = [
+            partial(evaluate, AlgebraElement.basis(m, a, b), params)
+            for a in range(m)
+            for b in range(m)
+        ]
         for p in sample_points(params, 2, seed=57):
             got = poisson_bracket(N, N, params, p)
             assert got.shape == (m, m, m, m)
@@ -245,37 +251,45 @@ class TestPointwiseAgreement:
             exact = structure_bracket(e1, e2)
             for p in points:
                 num = poisson_bracket(
-                    e1.as_field(params), e2.as_field(params), params, p
+                    partial(evaluate, e1, params), partial(evaluate, e2, params), params, p
                 )
                 assert abs(num - evaluate(exact, params, p)) < 1e-7
 
 
 class TestClosedFormField:
     def test_off_diagonal(self):
-        v = closed_form_field(0, 1, PhasePoint([1, 0]))
-        assert tuple(v.holo) == (0, 1j)
-        assert tuple(v.anti) == (0, 0)
+        v = closed_form_field(PhasePoint([1, 0]))
+        assert tuple(v.holo[:, 0, 1]) == (0, 1j)
+        assert tuple(v.anti[:, 0, 1]) == (0, 0)
 
     def test_vanishing_coordinate(self):
-        v = closed_form_field(0, 0, PhasePoint([0, 1]))
-        assert tuple(v.holo) == (0, 0)
-        assert tuple(v.anti) == (0, 0)
+        v = closed_form_field(PhasePoint([0, 1]))
+        assert tuple(v.holo[:, 0, 0]) == (0, 0)
+        assert tuple(v.anti[:, 0, 0]) == (0, 0)
 
     def test_complex_coordinate(self):
-        v = closed_form_field(0, 0, PhasePoint([1 + 1j, 0]))
-        assert v.holo == pytest.approx((1j * (1 + 1j), 0))
-        assert v.anti == pytest.approx((-1j * (1 - 1j), 0))
+        v = closed_form_field(PhasePoint([1 + 1j, 0]))
+        assert v.holo[:, 0, 0] == pytest.approx((1j * (1 + 1j), 0))
+        assert v.anti[:, 0, 0] == pytest.approx((-1j * (1 - 1j), 0))
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            closed_form_field(0, 5, PhasePoint([1, 1]))
+    def test_layout_on_point_array(self):
+        # [..., c, a, b] is component c of the field of N^{ab'}: i z^a e_b
+        # along d/dz, -i zbar^b e_a along d/dzbar.
+        params = OscillatorParams(m=3, a=0.8)
+        z = np.array(sample_points(params, 4, seed=61))
+        v = closed_form_field(z)
+        assert v.holo.shape == v.anti.shape == (4, 3, 3, 3)
+        e = np.eye(3)
+        for a, b in itertools.product(range(3), repeat=2):
+            assert np.array_equal(v.holo[..., a, b], 1j * z[:, a, None] * e[b])
+            assert np.array_equal(v.anti[..., a, b], -1j * np.conj(z[:, b, None]) * e[a])
 
 
 class TestPolarization:
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
     def test_basis_observables_preserve(self, params):
         samples = sample_points(params, 10, seed=21)
-        f = AlgebraElement.basis(2, 0, 1).as_field(params)
+        f = partial(evaluate, AlgebraElement.basis(2, 0, 1), params)
         assert preserves_polarization(f, params, samples) <= 1e-5
 
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
@@ -295,7 +309,7 @@ class TestPolarization:
         m = params.m
         samples = sample_points(params, 3, seed=43)
         fields = [
-            AlgebraElement.basis(m, 0, m - 1).as_field(params),
+            partial(evaluate, AlgebraElement.basis(m, 0, m - 1), params),
             lambda z: z[..., 0] * z[..., m - 1] ** 2,
             lambda z: np.conj(z[..., 0]) ** 2,
         ]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,16 +12,13 @@ from genosc import (
     closed_form_field,
     evaluate,
     hamiltonian_field,
-    lie_bracket_fields,
     metric_at,
     moment_map,
     poisson_bracket,
     ricci_at,
     sample_points,
-    structure_bracket,
     wirtinger,
 )
-from genosc.symplectic import apply_field
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
 P2_CURVED = OscillatorParams(m=2, a=1.0)
@@ -28,7 +26,7 @@ POINT = PhasePoint([1, 1])
 
 
 def n_field(params, a, b):
-    return AlgebraElement.basis(params.m, a, b).as_field(params)
+    return partial(evaluate, AlgebraElement.basis(params.m, a, b), params)
 
 
 def omega(params, p, X, Y):
@@ -74,16 +72,17 @@ class TestHamiltonianField:
     def test_closed_form_identity_all_basis(self, params):
         m = params.m
         for p in sample_points(params, 10, seed=2):
+            ref = closed_form_field(p)
             for a in range(m):
                 for b in range(m):
                     num = hamiltonian_field(n_field(params, a, b), params, p)
-                    ref = closed_form_field(a, b, p)
-                    assert np.max(np.abs(np.array(num.holo) - ref.holo)) < 1e-7
-                    assert np.max(np.abs(np.array(num.anti) - ref.anti)) < 1e-7
+                    assert np.max(np.abs(num.holo - ref.holo[:, a, b])) < 1e-7
+                    assert np.max(np.abs(num.anti - ref.anti[:, a, b])) < 1e-7
 
     def test_reality_of_real_function_fields(self):
         # H and N^{00'} are real; their fields must satisfy anti = conj(holo)
-        for f in [AlgebraElement.hamiltonian(2).as_field(P2_CURVED), n_field(P2_CURVED, 0, 0)]:
+        H = partial(evaluate, AlgebraElement.hamiltonian(2), P2_CURVED)
+        for f in [H, n_field(P2_CURVED, 0, 0)]:
             X = hamiltonian_field(f, P2_CURVED, POINT)
             assert np.allclose(X.anti, np.conj(X.holo), atol=1e-9)
 
@@ -126,63 +125,20 @@ class TestPoissonBracket:
             )
             assert abs(total) < 1e-5
 
-
-class TestApplyField:
-    def test_array_field_matches_componentwise(self):
-        X = lambda p: closed_form_field(0, 1, p)
+    def test_array_valued_g_matches_componentwise(self):
+        f = n_field(P2_CURVED, 0, 1)
         comps = [n_field(P2_CURVED, 1, 0), lambda z: z[..., 0] * np.conj(z[..., 1])]
+        stacked = lambda z: np.stack([g(z) for g in comps], axis=-1)
         for p in sample_points(P2_CURVED, 3, seed=41):
-            got = apply_field(X, lambda z: np.stack([f(z) for f in comps], axis=-1), p)
-            want = [apply_field(X, f, p) for f in comps]
+            got = poisson_bracket(f, stacked, P2_CURVED, p)
+            want = [poisson_bracket(f, g, P2_CURVED, p) for g in comps]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
-
-
-class TestLieBracket:
-    def test_vanishes_on_equal(self):
-        X = lambda p: closed_form_field(0, 1, p)
-        lb = lie_bracket_fields(X, X, POINT)
-        assert np.allclose(lb.holo, 0, atol=1e-8)
-        assert np.allclose(lb.anti, 0, atol=1e-8)
-
-    def test_diagonal_fields_commute(self):
-        X = lambda p: closed_form_field(0, 0, p)
-        Y = lambda p: closed_form_field(1, 1, p)
-        lb = lie_bracket_fields(X, Y, POINT)
-        assert np.allclose(lb.holo, 0, atol=1e-8)
-        assert np.allclose(lb.anti, 0, atol=1e-8)
-
-    def test_matches_bracket_of_observables(self):
-        # [X_f, X_g] = X_{{f,g}}: the commutator of the fields of N^{01'} and
-        # N^{10'} equals the field of i(N^{00'} - N^{11'}).
-        X = lambda p: closed_form_field(0, 1, p)
-        Y = lambda p: closed_form_field(1, 0, p)
-        for p in sample_points(P2_CURVED, 4, seed=31):
-            lb = lie_bracket_fields(X, Y, p)
-            v00 = closed_form_field(0, 0, p)
-            v11 = closed_form_field(1, 1, p)
-            ref_holo = 1j * (np.array(v00.holo) - np.array(v11.holo))
-            ref_anti = 1j * (np.array(v00.anti) - np.array(v11.anti))
-            assert np.max(np.abs(np.array(lb.holo) - ref_holo)) < 1e-6
-            assert np.max(np.abs(np.array(lb.anti) - ref_anti)) < 1e-6
-
-    def test_homomorphism_against_exact_bracket(self):
-        e1 = AlgebraElement.basis(2, 0, 1)
-        e2 = AlgebraElement.basis(2, 1, 1)
-        eb = structure_bracket(e1, e2)
-        X = lambda p: closed_form_field(0, 1, p)
-        Y = lambda p: closed_form_field(1, 1, p)
-        for p in sample_points(P2_CURVED, 3, seed=37):
-            lb = lie_bracket_fields(X, Y, p)
-            ref = hamiltonian_field(eb.as_field(P2_CURVED), P2_CURVED, p)
-            assert np.max(np.abs(np.array(lb.holo) - ref.holo)) < 1e-6
-            assert np.max(np.abs(np.array(lb.anti) - ref.anti)) < 1e-6
 
 
 class TestBatches:
     def test_batch_equals_per_point(self):
         # every function of points takes an array of points as it takes one
         N = lambda z: moment_map(P2_CURVED, z)
-        X = lambda z: closed_form_field(0, 1, z)
         points = sample_points(P2_CURVED, 6, seed=43)
         Z = np.array(points).reshape(2, 3, 2)
         H = AlgebraElement.hamiltonian(2) + AlgebraElement(2, constant=3)
@@ -192,7 +148,8 @@ class TestBatches:
             hamiltonian_field(N, P2_CURVED, Z).holo,
             hamiltonian_field(N, P2_CURVED, Z).anti,
             poisson_bracket(N, N, P2_CURVED, Z),
-            lie_bracket_fields(X, X, Z).holo,
+            closed_form_field(Z).holo,
+            closed_form_field(Z).anti,
             ricci_at(P2_CURVED, Z),
         ]
         per_point = [
@@ -201,7 +158,8 @@ class TestBatches:
             [hamiltonian_field(N, P2_CURVED, p).holo for p in points],
             [hamiltonian_field(N, P2_CURVED, p).anti for p in points],
             [poisson_bracket(N, N, P2_CURVED, p) for p in points],
-            [lie_bracket_fields(X, X, p).holo for p in points],
+            [closed_form_field(p).holo for p in points],
+            [closed_form_field(p).anti for p in points],
             [ricci_at(P2_CURVED, p) for p in points],
         ]
         for got, want in zip(batched, per_point):
