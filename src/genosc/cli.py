@@ -4,6 +4,8 @@ Subcommands: verify | spectrum | dirac | eval.  Reports go to stdout as
 UTF-8 JSON with a fixed key order and floats rendered with 17 significant
 digits; identical flags and seed produce byte-identical output.  Exit codes:
 0 pass, 1 verification failure, 2 usage error (malformed or non-finite input).
+The tolerances of the verify checks and the size limits of verify and dirac
+are program constants, not flags: a pass is a pass at the stated tolerances.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .quantization import dirac_residual, spectrum_of_H
 
 SCHEMA_VERSION = 2
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "det": 1e-10,
     "inverse": 1e-8,
     "field": 1e-7,
@@ -60,6 +62,9 @@ VERIFY_CHECKS = (
 #: allows m <= 16, with one point per chunk there, and keeps a run under
 #: about 0.45 GB.
 MAX_STENCIL_VALUES = 5_000_000
+
+#: Most basis pairs dirac checks: m^4 <= 4096 allows m <= 8.
+MAX_DIRAC_PAIRS = 4096
 
 
 def _render_json(obj) -> str:
@@ -90,18 +95,6 @@ def _emit(report: dict):
     sys.stdout.write(_render_json(report) + "\n")
 
 
-def _tolerances(args) -> dict:
-    """Tolerance per check: the --tol-<name> flag, else the default.  Raises
-    ValueError naming a flag that is not a finite number."""
-    tols = {}
-    for name, default in DEFAULT_TOLERANCES.items():
-        flag = getattr(args, f"tol_{name}")
-        tols[name] = default if flag is None else flag
-        if not math.isfinite(tols[name]):
-            raise ValueError(f"--tol-{name} must be a finite number, got {flag!r}")
-    return tols
-
-
 def _params(args, parser) -> OscillatorParams:
     """OscillatorParams from --m and --a; a non-finite --a is a usage error."""
     if not math.isfinite(args.a):
@@ -125,10 +118,6 @@ def _cmd_verify(args, parser) -> int:
             f" over the limit of {MAX_STENCIL_VALUES}"
         )
     params = _params(args, parser)
-    try:
-        tols = _tolerances(args)
-    except ValueError as exc:
-        parser.error(str(exc))
     # Points have scale max(1, |a|): a large |a| or m overflows r or its powers,
     # either raising on Python floats or, in numpy, turning a product into inf.
     try:
@@ -159,7 +148,7 @@ def _cmd_verify(args, parser) -> int:
 
     checks = []
     for name, key in VERIFY_CHECKS:
-        res, tol = residuals[key], tols[key]
+        res, tol = residuals[key], TOLERANCES[key]
         checks.append(
             {
                 "name": name,
@@ -189,7 +178,7 @@ def _cmd_verify(args, parser) -> int:
         "seed": args.seed,
         "n_samples": args.samples,
         "margin": args.margin,
-        "tolerances": tols,
+        "tolerances": TOLERANCES,
         "residuals": residuals,
         "checks": checks,
         "pass": overall,
@@ -224,14 +213,7 @@ def _cmd_spectrum(args, parser) -> int:
         "eigenvalue_unit": "hbar",
         "rows": rows,
     }
-    if args.format == "table":
-        sys.stdout.write(f"{'l':>4} {'eigenvalue':>12} {'multiplicity':>13}\n")
-        for row in rows:
-            sys.stdout.write(
-                f"{row['l']:>4} {str(row['eigenvalue']) + ' hbar':>12} {row['multiplicity']:>13}\n"
-            )
-    else:
-        _emit(report)
+    _emit(report)
     return 0
 
 
@@ -241,9 +223,9 @@ def _cmd_dirac(args, parser) -> int:
     if args.l < 0:
         parser.error("--l must be >= 0")
     n_pairs = args.m**4
-    if n_pairs > args.pair_budget:
+    if n_pairs > MAX_DIRAC_PAIRS:
         parser.error(
-            f"--m {args.m} has {n_pairs} basis pairs, over --pair-budget {args.pair_budget}"
+            f"--m {args.m} has {n_pairs} basis pairs, over the limit of {MAX_DIRAC_PAIRS}"
         )
     m = args.m
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
@@ -299,8 +281,6 @@ def _parse_element(text: str, parser) -> AlgebraElement:
 def _cmd_eval(args, parser) -> int:
     if args.m < 1:
         parser.error("--m must be >= 1")
-    if args.element is None and not args.metric:
-        parser.error("choose --metric or --element")
     params = _params(args, parser)
     element = None if args.metric else _parse_element(args.element, parser)
     try:
@@ -360,20 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--margin", type=float, default=0.1)
-    for name in DEFAULT_TOLERANCES:
-        p_verify.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of Q(H) per degree")
     p_spec.add_argument("--m", type=int, required=True)
     p_spec.add_argument("--lmax", type=int, required=True)
-    p_spec.add_argument("--format", choices=("json", "table"), default="json")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_dirac = sub.add_parser("dirac", help="exhaustive exact Dirac-condition check")
     p_dirac.add_argument("--m", type=int, required=True)
     p_dirac.add_argument("--l", type=int, required=True)
-    p_dirac.add_argument("--pair-budget", type=int, default=4096, help="max m^4, else exit 2")
     p_dirac.set_defaults(func=_cmd_dirac)
 
     p_eval = sub.add_parser(
@@ -381,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--m", type=int, required=True)
     p_eval.add_argument("--a", type=float, default=0.0)
-    p_eval.add_argument("--metric", action="store_true", help="emit metric data")
-    p_eval.add_argument(
+    mode = p_eval.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--metric", action="store_true", help="emit metric data")
+    mode.add_argument(
         "--element",
         default=None,
         help='JSON {"coeff": [[[re, im], ...], ...], "constant": [re, im]} with rational entries',
@@ -391,11 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, _PARSER)
     except GenoscError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

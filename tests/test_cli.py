@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +6,8 @@ import warnings
 
 import pytest
 
+import genosc.geometry
+from genosc import cli
 from genosc.cli import _render_json, main
 
 
@@ -24,6 +27,14 @@ class TestVerify:
         assert report["pass"] is True
         assert report["residuals"]["det"] <= 1e-12
         assert report["schema_version"] == 2
+        assert list(report["tolerances"].items()) == [
+            ("det", 1e-10),
+            ("inverse", 1e-8),
+            ("field", 1e-7),
+            ("bracket", 1e-7),
+            ("ricci", 1e-5),
+            ("polarization", 1e-5),
+        ]
 
     def test_curved_pass(self, capsys):
         code, out, _ = run(
@@ -42,15 +53,26 @@ class TestVerify:
             main(["verify", "--m", "0", "--samples", "5"])
         assert exc.value.code == 2
 
-    def test_failure_exit_1_with_report(self, capsys):
+    def test_failure_exit_1_with_report(self, capsys, monkeypatch):
+        # A wrong metric: u'' scaled by 1.5, with s' = u' + r u'' kept consistent.
+        radial_profile = genosc.geometry.radial_profile
+
+        def wrong_profile(params, r):
+            prof = radial_profile(params, r)
+            u_double_prime = 1.5 * prof.u_double_prime
+            return dataclasses.replace(
+                prof, u_double_prime=u_double_prime, s_prime=prof.u_prime + r * u_double_prime
+            )
+
+        monkeypatch.setattr(genosc.geometry, "radial_profile", wrong_profile)
         code, out, _ = run(
-            capsys,
-            "verify", "--m", "2", "--a", "1", "--samples", "10", "--seed", "3",
-            "--tol-det", "1e-20",
+            capsys, "verify", "--m", "2", "--a", "1", "--samples", "10", "--seed", "3"
         )
         assert code == 1
         report = json.loads(out)
         assert report["pass"] is False
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["det", "ricci", "hamiltonian_field_closed_form", "polarization"]
 
     def test_byte_reproducibility(self, capsys):
         args = ("verify", "--m", "2", "--a", "1", "--samples", "15", "--seed", "7")
@@ -58,18 +80,19 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_unknown_flag_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", "2", "--samples", "1", "--workers", "2"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("flag", ["--tol-det", "--tol-polarization"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_flag_exit_2(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", "2", "--samples", "1", flag, value])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+    def test_unknown_flag_exit_2(self, capsys):
+        # Tolerances, the dirac pair limit and the report format are fixed.
+        for argv in (
+            ["verify", "--m", "2", "--samples", "1", "--workers", "2"],
+            ["verify", "--m", "2", "--samples", "1", "--tol-det", "1e-20"],
+            ["spectrum", "--m", "2", "--lmax", "1", "--format", "table"],
+            ["dirac", "--m", "2", "--l", "1", "--pair-budget", "16"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "unrecognized arguments" in out.err, argv
 
     @pytest.mark.parametrize(
         "extra",
@@ -158,11 +181,6 @@ class TestSpectrum:
             main(["spectrum", "--m", "2", "--lmax", "-1"])
         assert exc.value.code == 2
 
-    def test_table_format(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "1", "--format", "table")
-        assert code == 0
-        assert "1 hbar" in out
-
 
 class TestDirac:
     def test_m2(self, capsys):
@@ -177,18 +195,43 @@ class TestDirac:
         assert code == 0
         assert json.loads(out)["pairs_checked"] == 1
 
-    def test_over_budget_exit_2(self, capsys):
+    def test_over_budget_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DIRAC_PAIRS", 4)
         with pytest.raises(SystemExit) as exc:
-            main(["dirac", "--m", "2", "--l", "1", "--pair-budget", "4"])
+            main(["dirac", "--m", "2", "--l", "1"])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "16 basis pairs" in out.err and "--pair-budget 4" in out.err
+        assert "16 basis pairs" in out.err and "over the limit of 4" in out.err
 
-    def test_at_budget_runs(self, capsys):
-        code, out, _ = run(capsys, "dirac", "--m", "2", "--l", "1", "--pair-budget", "16")
+    def test_at_budget_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DIRAC_PAIRS", 16)
+        code, out, _ = run(capsys, "dirac", "--m", "2", "--l", "1")
         assert code == 0
         assert json.loads(out)["pairs_checked"] == 16
+
+    def test_m9_exit_2_before_checking(self, capsys, monkeypatch):
+        def dirac_residual(*args):
+            raise AssertionError("checking started")
+
+        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "--m", "9", "--l", "1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "6561 basis pairs" in out.err and "over the limit of 4096" in out.err
+
+    def test_m8_is_within_the_pair_limit(self, monkeypatch):
+        class Checking(Exception):
+            pass
+
+        def dirac_residual(*args):
+            raise Checking
+
+        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        with pytest.raises(Checking):
+            main(["dirac", "--m", "8", "--l", "1"])
 
 
 class TestEval:
@@ -219,10 +262,14 @@ class TestEval:
         assert code == 1
         assert "DomainError" in json.loads(out)["error"]
 
-    def test_missing_mode_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--m", "2"])
-        assert exc.value.code == 2
+    def test_missing_mode_exit_2(self, capsys, monkeypatch):
+        # Exactly one of --metric and --element: neither and both are usage errors.
+        for mode in ([], ["--metric", "--element", "garbage"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0]]"))
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--m", "2", *mode])
+            assert exc.value.code == 2, mode
+            assert capsys.readouterr().out == "", mode
 
     @pytest.mark.parametrize("hbar", ["abc", "0"])
     def test_bad_hbar_exit_2(self, capsys, monkeypatch, hbar):
