@@ -11,7 +11,6 @@ from .errors import (
     ConditioningError,
     DimensionMismatch,
     DomainError,
-    ExhaustionError,
     GenoscError,
 )
 from .exact import ComplexRational
@@ -54,7 +53,6 @@ __all__ = [
     "GenoscError",
     "DomainError",
     "ConditioningError",
-    "ExhaustionError",
     "DimensionMismatch",
     "ComplexRational",
     "OscillatorParams",

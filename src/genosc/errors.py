@@ -15,9 +15,5 @@ class ConditioningError(GenoscError, ArithmeticError):
     tolerance, signalling breakdown near the domain boundary."""
 
 
-class ExhaustionError(GenoscError, RuntimeError):
-    """Rejection sampling failed too many consecutive times."""
-
-
 class DimensionMismatch(GenoscError, ValueError):
     """Two objects built over different complex dimensions were combined."""

@@ -2,19 +2,36 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import warnings
 
 import pytest
 
 import genosc.geometry
-from genosc import cli
-from genosc.cli import _render_json, main
+from genosc import OscillatorParams, cli, sample_points
+from genosc.campaigns import det_residual, field_residual
+from genosc.cli import TOLERANCES, _render_json, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def wrong_metric(monkeypatch):
+    """A wrong metric: u'' scaled by 1.5, with s' = u' + r u'' kept consistent."""
+    radial_profile = genosc.geometry.radial_profile
+
+    def wrong_profile(params, r):
+        prof = radial_profile(params, r)
+        u_double_prime = 1.5 * prof.u_double_prime
+        return dataclasses.replace(
+            prof, u_double_prime=u_double_prime, s_prime=prof.u_prime + r * u_double_prime
+        )
+
+    monkeypatch.setattr(genosc.geometry, "radial_profile", wrong_profile)
 
 
 class TestVerify:
@@ -26,7 +43,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is True
         assert report["residuals"]["det"] <= 1e-12
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert list(report["tolerances"].items()) == [
             ("det", 1e-10),
             ("inverse", 1e-8),
@@ -53,18 +70,7 @@ class TestVerify:
             main(["verify", "--m", "0", "--samples", "5"])
         assert exc.value.code == 2
 
-    def test_failure_exit_1_with_report(self, capsys, monkeypatch):
-        # A wrong metric: u'' scaled by 1.5, with s' = u' + r u'' kept consistent.
-        radial_profile = genosc.geometry.radial_profile
-
-        def wrong_profile(params, r):
-            prof = radial_profile(params, r)
-            u_double_prime = 1.5 * prof.u_double_prime
-            return dataclasses.replace(
-                prof, u_double_prime=u_double_prime, s_prime=prof.u_prime + r * u_double_prime
-            )
-
-        monkeypatch.setattr(genosc.geometry, "radial_profile", wrong_profile)
+    def test_failure_exit_1_with_report(self, capsys, wrong_metric):
         code, out, _ = run(
             capsys, "verify", "--m", "2", "--a", "1", "--samples", "10", "--seed", "3"
         )
@@ -84,6 +90,7 @@ class TestVerify:
         # Tolerances, the dirac pair limit and the report format are fixed.
         for argv in (
             ["verify", "--m", "2", "--samples", "1", "--workers", "2"],
+            ["verify", "--m", "2", "--samples", "1", "--margin", "1"],
             ["verify", "--m", "2", "--samples", "1", "--tol-det", "1e-20"],
             ["spectrum", "--m", "2", "--lmax", "1", "--format", "table"],
             ["dirac", "--m", "2", "--l", "1", "--pair-budget", "16"],
@@ -101,8 +108,8 @@ class TestVerify:
             ["--hbar", "0"],
             ["--hbar", "1/0"],
             ["--a", "nan"],
-            ["--margin", "nan"],
-            ["--margin", "inf"],
+            ["--a", "inf"],
+            ["--samples", "0"],
             ["--seed", "-1"],
         ],
     )
@@ -116,12 +123,13 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--m", "2", "--a", "0.5", "--samples", "1")
         assert json.loads(out)["params"] == {"m": 2, "a": 0.5}
 
-    # 1e200 overflows a^m, 1e100 the sampled r^m; at m = 1, 1e200 makes
-    # numpy's r = sum |z|^2 inf rather than raise; 1e70 overflows numpy's
-    # r^2 s^(m-1) inside the metric, which would make u'' silently 0.
-    # Warnings are errors here, so a numpy RuntimeWarning fails the test.
+    # Points have r ~ |a|.  1e200 overflows a^m; 1.3e154 leaves a^m finite
+    # but overflows the sampled r^m = a^m (1 + rho); 1e110 overflows numpy's
+    # r^2 s^(m-1) inside the metric, which would make u'' silently 0, and at
+    # m = 1, 1e200 overflows its r^2 alone.  Warnings are errors here, so a
+    # numpy RuntimeWarning fails the test.
     @pytest.mark.parametrize(
-        "m, a", [("2", "1e200"), ("2", "1e100"), ("1", "1e200"), ("2", "1e70")]
+        "m, a", [("2", "1e200"), ("2", "1.3e154"), ("1", "1e200"), ("2", "1e110")]
     )
     def test_overflowing_a_exit_2(self, capsys, m, a):
         with warnings.catch_warnings():
@@ -134,6 +142,23 @@ class TestVerify:
         assert f"--a {float(a):g}" in out.err and "overflows" in out.err
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("a", ["0.1234567", "-1e-05"])
+    def test_command_reruns_to_the_same_bytes(self, capsys, monkeypatch, a):
+        # verify reports and both modes of eval; the point comes from stdin.
+        element = '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]], "constant": [0, 0]}'
+        def rerun(*argv):
+            monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0]]"))
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            return out
+
+        for argv in (
+            ["verify", "--m", "2", f"--a={a}", "--samples", "2", "--seed", "4"],
+            ["eval", "--m", "2", f"--a={a}", "--metric"],
+            ["eval", "--m", "2", f"--a={a}", "--element", element],
+        ):
+            first = rerun(*argv)
+            assert rerun(*shlex.split(json.loads(first)["command"])) == first
 
     def test_oversized_stencil_exit_2_before_sampling(self, capsys, monkeypatch):
         def sample_points(*args):
@@ -158,6 +183,29 @@ class TestVerify:
             main(["verify", "--m", "12", "--samples", "1"])
 
 
+class TestMutationGate:
+    """The wrong metric of `wrong_metric` must fail where the metric is
+    curved, at every m verify allows a sample at."""
+
+    @pytest.mark.parametrize("m, samples", [(2, 3), (4, 3), (8, 1)])
+    def test_verify_fails_wrong_metric(self, capsys, wrong_metric, m, samples):
+        code, out, _ = run(
+            capsys, "verify", "--m", str(m), "--a", "1", "--samples", str(samples), "--seed", "1"
+        )
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == ["det", "ricci", "hamiltonian_field_closed_form", "polarization"]
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_det_and_field_fail_wrong_metric(self, wrong_metric, m):
+        # verify's Ricci and polarization stencils are slow at this m, so the
+        # sampled points go to the two cheap campaigns directly.
+        params = OscillatorParams(m=m, a=1.0)
+        points = sample_points(params, 1, seed=1)
+        assert det_residual(params, points) > TOLERANCES["det"]
+        assert field_residual(params, points) > TOLERANCES["field"]
+
+
 class TestSpectrum:
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
@@ -179,6 +227,28 @@ class TestSpectrum:
     def test_negative_lmax_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--m", "2", "--lmax", "-1"])
+        assert exc.value.code == 2
+
+    def test_too_many_states_exit_2_before_building(self, capsys, monkeypatch):
+        # Degrees 0..lmax of one variable: lmax + 1 states in all.
+        def quantize(*args):
+            raise AssertionError("quantization started")
+
+        monkeypatch.setattr("genosc.quantization.quantize", quantize)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", "1", "--lmax", "100000000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "100000001 basis states" in out.err and "over the limit of 10000" in out.err
+
+    def test_largest_lmax_is_within_the_state_limit(self, capsys):
+        # C(lmax + 2, 2) states: 9 870 at lmax = 139, 10 011 at lmax = 140.
+        code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "139")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 140
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", "2", "--lmax", "140"])
         assert exc.value.code == 2
 
 
@@ -221,6 +291,33 @@ class TestDirac:
         out = capsys.readouterr()
         assert out.out == ""
         assert "6561 basis pairs" in out.err and "over the limit of 4096" in out.err
+
+    def test_too_many_states_exit_2_before_building(self, capsys, monkeypatch):
+        def monomial_basis(*args):
+            raise AssertionError("basis enumeration started")
+
+        monkeypatch.setattr("genosc.quantization.monomial_basis", monomial_basis)
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "--m", "2", "--l", "100000000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "100000001 basis states" in out.err and "over the limit of 10000" in out.err
+
+    @pytest.mark.parametrize("m, l", [(2, 9999), (3, 139), (8, 8)])
+    def test_largest_degrees_are_within_the_state_limit(self, monkeypatch, m, l):
+        class Checking(Exception):
+            pass
+
+        def dirac_residual(*args):
+            raise Checking
+
+        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        with pytest.raises(Checking):
+            main(["dirac", "--m", str(m), "--l", str(l)])
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "--m", str(m), "--l", str(l + 1)])
+        assert exc.value.code == 2
 
     def test_m8_is_within_the_pair_limit(self, monkeypatch):
         class Checking(Exception):

@@ -5,7 +5,6 @@ import pytest
 
 from genosc import (
     DomainError,
-    ExhaustionError,
     OscillatorParams,
     PhasePoint,
     metric_at,
@@ -17,6 +16,8 @@ from genosc import (
 )
 from genosc import geometry
 from genosc.geometry import (
+    BOUNDARY_GAP,
+    CURVED_ZONE,
     _WIRTINGER_SHIFTS,
     _WIRTINGER_WEIGHTS,
     WIRTINGER_STEP,
@@ -293,18 +294,35 @@ class TestSampling:
         second = sample_points(params, 5, seed=42)
         assert first == second
 
-    def test_margin_respected(self):
-        params = OscillatorParams(m=2, a=1.0)
-        for p in sample_points(params, 100, seed=7, margin=0.1):
-            assert p.r**2 >= 1.1
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -1.0, 1.0, 1e3])
+    def test_draws_lie_in_the_curved_zone(self, m, a):
+        # rho = (r^m - max(a^m, 0)) / c^m, c = max(1, |a|), recomputed from
+        # each point's coordinates, spans the zone up to roundoff.
+        params = OscillatorParams(m=m, a=a)
+        points = sample_points(params, 200, seed=m)
+        rho = np.array([(p.r**m - max(a**m, 0.0)) / max(1.0, abs(a)) ** m for p in points])
+        lo, hi = geometry.curved_zone(m)
+        assert lo == pytest.approx(max(CURVED_ZONE[0], (1 - BOUNDARY_GAP) ** -m - 1), rel=1e-14)
+        assert hi == CURVED_ZONE[1]
+        assert np.all(rho >= lo * (1 - 1e-12)) and np.all(rho <= hi * (1 + 1e-12))
+        assert rho.min() < 2 * lo and rho.max() > hi / 2
+        # log-uniform: log(rho) is uniform on [log lo, log hi].
+        t = np.log(rho / lo) / np.log(hi / lo)
+        assert abs(np.mean(t) - 0.5) < 0.1
+        if abs(a) >= 1 and a**m > 0:
+            # The boundary r = |a| lies at least BOUNDARY_GAP r below r.
+            assert all(p.r - abs(a) >= (BOUNDARY_GAP - 1e-12) * p.r for p in points)
+        again = sample_points(params, 200, seed=m)
+        assert [p.z for p in again] == [p.z for p in points]
+        assert sample_points(params, 3, seed=m) == points[:3]
 
-    def test_exhaustion(self):
-        with pytest.raises(ExhaustionError):
-            sample_points(OscillatorParams(m=2, a=0.0), 1, seed=0, margin=1e12)
-
-    def test_bad_margin(self):
-        with pytest.raises(ValueError):
-            sample_points(OscillatorParams(m=2, a=0.0), 1, seed=0, margin=0.0)
+    def test_overflowing_power_raises(self):
+        with pytest.raises(FloatingPointError):
+            sample_points(OscillatorParams(m=2, a=1e200), 1, seed=0)
+        # a^m is finite, but r^m = a^m (1 + rho) is not.
+        with pytest.raises(FloatingPointError):
+            sample_points(OscillatorParams(m=2, a=1.3e154), 1, seed=0)
 
 
 class TestParams:
