@@ -72,9 +72,11 @@ MAX_DIRAC_PAIRS = 4096
 #: C(l+m-1, m-1) states, or the bases of degrees 0..lmax of spectrum,
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
 #: enumerating a basis takes time and memory in proportion to its size.
-#: At this limit, dirac --m 2 --l 9999 took 0.64 s at 36 MB peak RSS,
-#: spectrum --m 1 --lmax 9999 0.95 s at 37 MB, and dirac --m 3 --l 139
-#: (9 870 states, 81 pairs) 3.1 s.
+#: spectrum --m is held to the same limit, because Q(H) has one term per
+#: coordinate even on the single state of degree 0.  At this limit, in one
+#: process on a 2-core x86-64 VM with Python 3.11, dirac --m 2 --l 9999 took
+#: 0.48 s at 37 MB peak RSS, spectrum --m 1 --lmax 9999 0.43 s at 37 MB, and
+#: dirac --m 3 --l 139 (9 870 states, 81 pairs) 2.1-2.9 s in three runs.
 MAX_BASIS_STATES = 10_000
 
 
@@ -210,6 +212,8 @@ def _cmd_spectrum(args, parser) -> int:
         parser.error("--m must be >= 1")
     if args.lmax < 0:
         parser.error("--lmax must be >= 0")
+    if args.m > MAX_BASIS_STATES:
+        parser.error(f"--m {args.m} is over the limit of {MAX_BASIS_STATES}")
     _check_basis_states(
         math.comb(args.lmax + args.m, args.m), f"--m {args.m} --lmax {args.lmax}", parser
     )

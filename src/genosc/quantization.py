@@ -18,9 +18,11 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import ComplexRational, _coerce
+from .exact import I, ComplexRational, _coerce
 from .geometry import OscillatorParams
 from .observables import AlgebraElement, structure_bracket
+
+_HALF = ComplexRational(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -95,21 +97,21 @@ class QuantumOperator:
     def matrix(self, power: int) -> dict:
         """The hbar^power part as {(row, col): value}, exact zeros dropped.
 
-        Coefficients are brought to a common denominator, so entries are
-        summed in integers.
+        The integer numerators of the coefficients are brought to their
+        common denominator, so entries are summed in integers.
         """
-        terms = [(c, t, w) for p, c, t, w in self.terms if p == power]
-        den = lcm(*(x.denominator for c, _, _ in terms for x in (c.re, c.im)))
+        terms = [(c.as_gaussian_ratio(), t, w) for p, c, t, w in self.terms if p == power]
+        den = lcm(*(d for (_, _, d), _, _ in terms))
         re: dict = {}
         im: dict = {}
-        for c, target, weight in terms:
-            c_re, c_im = int(c.re * den), int(c.im * den)
+        for (c_re, c_im, d), target, weight in terms:
+            c_re, c_im = c_re * (den // d), c_im * (den // d)
             for col, (row, w) in enumerate(zip(target.tolist(), weight.tolist())):
                 if w:
                     re[row, col] = re.get((row, col), 0) + w * c_re
                     im[row, col] = im.get((row, col), 0) + w * c_im
         return {
-            rc: ComplexRational(Fraction(x, den), Fraction(im[rc], den))
+            rc: ComplexRational.from_gaussian_ratio(x, im[rc], den)
             for rc, x in re.items()
             if x or im[rc]
         }
@@ -164,7 +166,6 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
     basis, k, radix, keys, identity = _basis_tables(e.m, l)
-    half = Fraction(1, 2)
     terms = []
     if e.constant:
         terms.append((0, e.constant, identity, np.ones(basis.size, dtype=object)))
@@ -174,7 +175,7 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
         else:
             moved = np.searchsorted(keys, keys - radix[b] + radix[a])
             target = np.where(k[:, b] > 0, moved, identity)
-        terms.append((1, c * half, target, 2 * k[:, b] + (a == b)))
+        terms.append((1, c * _HALF, target, 2 * k[:, b] + (a == b)))
     return QuantumOperator(basis.size, tuple(terms))
 
 
@@ -184,7 +185,7 @@ def dirac_residual(e1: AlgebraElement, e2: AlgebraElement, l: int) -> QuantumOpe
     q1 = quantize(e1, l)
     q2 = quantize(e2, l)
     qb = quantize(structure_bracket(e1, e2), l)
-    return q1.commutator(q2) + (ComplexRational.of(0, 1) * qb).shift_hbar(1)
+    return q1.commutator(q2) + (I * qb).shift_hbar(1)
 
 
 @dataclass(frozen=True)

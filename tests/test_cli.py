@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 import genosc.geometry
+import genosc.quantization
 from genosc import OscillatorParams, cli, sample_points
 from genosc.campaigns import det_residual, field_residual
 from genosc.cli import TOLERANCES, _render_json, main
@@ -242,6 +243,19 @@ class TestSpectrum:
         assert out.out == ""
         assert "100000001 basis states" in out.err and "over the limit of 10000" in out.err
 
+    def test_too_many_coordinates_exit_2_at_lmax_0(self, capsys, monkeypatch):
+        # Degree 0 has one state, but Q(H) has one term per coordinate.
+        def quantize(*args):
+            raise AssertionError("quantization started")
+
+        monkeypatch.setattr("genosc.quantization.quantize", quantize)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", "10001", "--lmax", "0"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--m 10001 is over the limit of 10000" in out.err
+
     def test_largest_lmax_is_within_the_state_limit(self, capsys):
         # C(lmax + 2, 2) states: 9 870 at lmax = 139, 10 011 at lmax = 140.
         code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "139")
@@ -318,6 +332,21 @@ class TestDirac:
         with pytest.raises(SystemExit) as exc:
             main(["dirac", "--m", str(m), "--l", str(l + 1)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("m, l, nonzero", [(3, 2, 42), (4, 3, 108)])
+    def test_wrong_bracket_sign_fails(self, capsys, monkeypatch, m, l, nonzero):
+        # With {f, g} negated, [Q(f), Q(g)] + i hbar Q({f, g}) cancels only
+        # where the bracket is 0.
+        bracket = genosc.quantization.structure_bracket
+        monkeypatch.setattr(
+            genosc.quantization, "structure_bracket", lambda e1, e2: (-1) * bracket(e1, e2)
+        )
+        code, out, _ = run(capsys, "dirac", "--m", str(m), "--l", str(l))
+        assert code == 1
+        report = json.loads(out)
+        assert report["pairs_checked"] == m**4
+        assert report["nonzero_residuals"] == nonzero
+        assert report["pass"] is False
 
     def test_m8_is_within_the_pair_limit(self, monkeypatch):
         class Checking(Exception):
