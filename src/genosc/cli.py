@@ -71,13 +71,20 @@ MAX_DIRAC_PAIRS = 4096
 #: Most monomial states a command quantizes on: the degree-l basis of dirac,
 #: C(l+m-1, m-1) states, or the bases of degrees 0..lmax of spectrum,
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
-#: enumerating a basis takes time and memory in proportion to its size.
-#: spectrum --m is held to the same limit, because Q(H) has one term per
-#: coordinate even on the single state of degree 0.  At this limit, in one
-#: process on a 2-core x86-64 VM with Python 3.11, dirac --m 2 --l 9999 took
-#: 0.48 s at 37 MB peak RSS, spectrum --m 1 --lmax 9999 0.43 s at 37 MB, and
-#: dirac --m 3 --l 139 (9 870 states, 81 pairs) 2.1-2.9 s in three runs.
+#: enumerating a basis takes time and memory in proportion to its size.  At
+#: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
+#: --m 2 --l 9999 took 0.48 s at 37 MB peak RSS, spectrum --m 1 --lmax 9999
+#: 0.43 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
+#: 2.1-2.9 s in three runs.
 MAX_BASIS_STATES = 10_000
+
+#: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
+#: many as Q(H) has weights; checked before any basis is built.  At this
+#: limit, in one process on a 2-core x86-64 VM with Python 3.11, spectrum
+#: --m 1400000 --lmax 0 (one Q(H) term per entry, the costliest shape) took
+#: 18.7 s at 790 MB peak RSS, --m 1182 --lmax 1 0.9-1.0 s at 62 MB and
+#: --m 139 --lmax 2 1.0-1.3 s at 64 MB.
+MAX_SPECTRUM_ENTRIES = 1_400_000
 
 
 def _render_json(obj) -> str:
@@ -202,9 +209,9 @@ def _cmd_verify(args, parser) -> int:
     return 0 if overall else 1
 
 
-def _check_basis_states(states: int, what: str, parser):
-    if states > MAX_BASIS_STATES:
-        parser.error(f"{what} has {states} basis states, over the limit of {MAX_BASIS_STATES}")
+def _check_limit(count: int, unit: str, limit: int, what: str, parser):
+    if count > limit:
+        parser.error(f"{what} has {count} {unit}, over the limit of {limit}")
 
 
 def _cmd_spectrum(args, parser) -> int:
@@ -212,11 +219,14 @@ def _cmd_spectrum(args, parser) -> int:
         parser.error("--m must be >= 1")
     if args.lmax < 0:
         parser.error("--lmax must be >= 0")
-    if args.m > MAX_BASIS_STATES:
-        parser.error(f"--m {args.m} is over the limit of {MAX_BASIS_STATES}")
-    _check_basis_states(
-        math.comb(args.lmax + args.m, args.m), f"--m {args.m} --lmax {args.lmax}", parser
-    )
+    what = f"--m {args.m} --lmax {args.lmax}"
+    # math.comb's time grows with k = min(m, lmax) (35 s at k = 10^6), and
+    # C(lmax+m, m) >= C(2k, k) >= 2^k: such inputs are refused uncounted.
+    if min(args.m, args.lmax) >= MAX_BASIS_STATES.bit_length():
+        parser.error(f"{what} has over {MAX_BASIS_STATES} basis states")
+    states = math.comb(args.lmax + args.m, args.m)
+    _check_limit(states, "basis states", MAX_BASIS_STATES, what, parser)
+    _check_limit(args.m * states, "exponent entries", MAX_SPECTRUM_ENTRIES, what, parser)
     params = OscillatorParams(m=args.m)
     rows = []
     for l in range(args.lmax + 1):
@@ -248,13 +258,9 @@ def _cmd_dirac(args, parser) -> int:
     if args.l < 0:
         parser.error("--l must be >= 0")
     n_pairs = args.m**4
-    if n_pairs > MAX_DIRAC_PAIRS:
-        parser.error(
-            f"--m {args.m} has {n_pairs} basis pairs, over the limit of {MAX_DIRAC_PAIRS}"
-        )
-    _check_basis_states(
-        math.comb(args.l + args.m - 1, args.m - 1), f"--m {args.m} --l {args.l}", parser
-    )
+    _check_limit(n_pairs, "basis pairs", MAX_DIRAC_PAIRS, f"--m {args.m}", parser)
+    states = math.comb(args.l + args.m - 1, args.m - 1)
+    _check_limit(states, "basis states", MAX_BASIS_STATES, f"--m {args.m} --l {args.l}", parser)
     m = args.m
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
     nonzero = 0
@@ -290,7 +296,7 @@ def _parse_pairs(data) -> list[complex]:
 
 def _rational(x) -> ComplexRational:
     re, im = x
-    return ComplexRational.of(Fraction(str(re)), Fraction(str(im)))
+    return ComplexRational(Fraction(str(re)), Fraction(str(im)))
 
 
 def _parse_element(text: str, parser) -> AlgebraElement:

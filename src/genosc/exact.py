@@ -41,10 +41,6 @@ class ComplexRational:
         self._d = d
 
     @classmethod
-    def of(cls, re=0, im=0) -> "ComplexRational":
-        return cls(re, im)
-
-    @classmethod
     def from_gaussian_ratio(cls, a: int, b: int, d: int) -> "ComplexRational":
         """(a + b i) / d for ints a, b and d > 0, brought to lowest terms."""
         a, b, d = index(a), index(b), index(d)
@@ -154,5 +150,4 @@ def _coerce(x) -> ComplexRational:
 
 
 ZERO = ComplexRational()
-ONE = ComplexRational(1)
 I = ComplexRational(0, 1)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GenoscError
 from .exact import I, ComplexRational, _coerce
 from .geometry import OscillatorParams
 from .observables import AlgebraElement, structure_bracket
@@ -25,58 +25,57 @@ from .observables import AlgebraElement, structure_bracket
 _HALF = ComplexRational(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialBasis:
     """Monomials of total degree l in m variables, in graded reverse
     lexicographic order (fixed; for equal degree, ascending lex on the
-    reversed exponent tuples)."""
+    reversed exponent tuples), with the read-only arrays quantize reads:
+    exponents (size x m), place values (l+1)^i, keys sum_i k_i (l+1)^i,
+    ascending in basis order, and the identity permutation.  The object
+    arrays hold Python ints, so keys cannot wrap."""
 
     m: int
     l: int
     indices: tuple
+    exponents: np.ndarray
+    place_values: np.ndarray
+    keys: np.ndarray
+    identity: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=128)
 def monomial_basis(m: int, l: int) -> MonomialBasis:
     """Enumerate the degree-l monomial multi-indices; size binom(l+m-1, m-1).
 
-    Cached per (m, l); the result is immutable, so callers share it."""
+    Each exponent vector follows from the one before: with p its first
+    nonzero coordinate, the next one has k_{p+1} one larger, k_0 = k_p - 1
+    and zeros in between, so the keys ascend with no sort.  Cached per
+    (m, l); the result is immutable, so callers share it."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    indices = sorted(_compositions(l, m), key=lambda k: tuple(reversed(k)))
-    return MonomialBasis(m=m, l=l, indices=tuple(indices))
-
-
-@lru_cache(maxsize=128)
-def _basis_tables(m: int, l: int):
-    """The degree-l basis with the arrays quantize reads, cached per (m, l):
-    exponents k (dim x m), the mixed-radix place values (l+1)^i, the keys
-    sum_i k_i (l+1)^i and the identity permutation.  The object arrays hold
-    Python ints, so keys cannot wrap; every array is read-only because
-    callers share it."""
-    basis = monomial_basis(m, l)
-    k = np.array(basis.indices, dtype=object).reshape(basis.size, m)
-    radix = np.array([(l + 1) ** i for i in range(m)], dtype=object)
-    keys = k.dot(radix)
-    identity = np.arange(basis.size)
-    for array in (k, radix, keys, identity):
+    k = [l] + [0] * (m - 1)
+    indices = [tuple(k)]
+    p = 0 if l else m - 1
+    while p < m - 1:
+        head = k[p]
+        k[p] = 0
+        k[p + 1] += 1
+        k[0] = head - 1
+        indices.append(tuple(k))
+        p = 0 if head > 1 else p + 1
+    exponents = np.array(indices, dtype=object)
+    place_values = np.array([(l + 1) ** i for i in range(m)], dtype=object)
+    keys = exponents.dot(place_values)
+    identity = np.arange(len(indices))
+    for array in (exponents, place_values, keys, identity):
         array.flags.writeable = False
-    return basis, k, radix, keys, identity
+    return MonomialBasis(m, l, tuple(indices), exponents, place_values, keys, identity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +164,8 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    basis, k, radix, keys, identity = _basis_tables(e.m, l)
+    basis = monomial_basis(e.m, l)
+    k, radix, keys, identity = basis.exponents, basis.place_values, basis.keys, basis.identity
     terms = []
     if e.constant:
         terms.append((0, e.constant, identity, np.ones(basis.size, dtype=object)))
@@ -198,17 +198,13 @@ class SpectralLine:
 
 
 def spectrum_of_H(params: OscillatorParams, l: int) -> SpectralLine:
-    """Assemble Q(H) on degree l and verify it is exactly
-    (l + m/2) hbar x identity; returns the eigenvalue and multiplicity."""
+    """Verify that Q(H) is exactly (l + m/2) hbar x identity on degree l, by
+    the exact zero test of Q(H) - hbar Q(l + m/2) at every power of hbar;
+    returns the eigenvalue and multiplicity."""
     m = params.m
+    eigenvalue = Fraction(2 * l + m, 2)
     op = quantize(AlgebraElement.hamiltonian(m), l)
-    expected = ComplexRational.of(Fraction(2 * l + m, 2))
-    dim = comb(l + m - 1, m - 1)
-    mat = op.matrix(1)
-    want = {(i, i): expected for i in range(dim)}
-    if mat != want:
-        r, c = min(rc for rc in mat.keys() | want.keys() if mat.get(rc) != want.get(rc))
-        raise AssertionError(f"Q(H) is not (l + m/2) hbar x identity at entry ({r}, {c})")
-    if any(op.matrix(p) for p in {t[0] for t in op.terms} - {1}):
-        raise AssertionError("Q(H) has terms at unexpected hbar powers")
-    return SpectralLine(l=l, eigenvalue=Fraction(2 * l + m, 2), multiplicity=dim)
+    shift = quantize(AlgebraElement(m, constant=-eigenvalue), l).shift_hbar(1)
+    if not (op + shift).is_zero:
+        raise GenoscError(f"Q(H) on degree {l} is not {eigenvalue} hbar x identity")
+    return SpectralLine(l=l, eigenvalue=eigenvalue, multiplicity=op.dim)

@@ -4,14 +4,16 @@ import json
 import math
 import shlex
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import genosc.geometry
 import genosc.quantization
-from genosc import OscillatorParams, cli, sample_points
+from genosc import AlgebraElement, OscillatorParams, cli, sample_points
 from genosc.campaigns import det_residual, field_residual
 from genosc.cli import TOLERANCES, _render_json, main
+from genosc.exact import ZERO
 
 
 def run(capsys, *argv):
@@ -207,6 +209,35 @@ class TestMutationGate:
         assert field_residual(params, points) > TOLERANCES["field"]
 
 
+@pytest.fixture
+def no_half_form_shift(monkeypatch):
+    """quantize with weight 2 k_b in place of 2 k_b + delta_ab: Q(e) less
+    hbar (sum_a c_aa) / 2 times the identity."""
+    quantize = genosc.quantization.quantize
+
+    def unshifted(e, l):
+        trace = sum((c for (a, b), c in e.terms.items() if a == b), ZERO)
+        half_trace = AlgebraElement(e.m, constant=trace * Fraction(1, 2))
+        return quantize(e, l) - quantize(half_trace, l).shift_hbar(1)
+
+    monkeypatch.setattr(genosc.quantization, "quantize", unshifted)
+
+
+class TestHalfFormShift:
+    def test_dirac_cannot_see_it(self, capsys, no_half_form_shift):
+        # A multiple of the identity commutes with everything.
+        code, out, _ = run(capsys, "dirac", "--m", "3", "--l", "2")
+        assert code == 0
+        assert json.loads(out)["nonzero_residuals"] == 0
+
+    def test_spectrum_fails_without_a_report(self, capsys, no_half_form_shift):
+        code, out, err = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Q(H) on degree 0 is not 1 hbar x identity" in err
+
+
 class TestSpectrum:
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
@@ -243,6 +274,31 @@ class TestSpectrum:
         assert out.out == ""
         assert "100000001 basis states" in out.err and "over the limit of 10000" in out.err
 
+    @pytest.mark.parametrize("m, lmax, entries", [(1183, 1, 1_400_672), (9999, 1, 99_990_000)])
+    def test_too_many_entries_exit_2_before_building(self, capsys, monkeypatch, m, lmax, entries):
+        # m C(lmax + m, m) exponent entries; the states are within their limit.
+        def quantize(*args):
+            raise AssertionError("quantization started")
+
+        monkeypatch.setattr("genosc.quantization.quantize", quantize)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", str(m), "--lmax", str(lmax)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{entries} exponent entries" in out.err
+        assert "over the limit of 1400000" in out.err
+
+    def test_large_m_and_lmax_exit_2_uncounted(self, capsys, monkeypatch):
+        # C(2 * 10^6, 10^6) alone would take math.comb about half a minute.
+        monkeypatch.setattr(math, "comb", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", "1000000", "--lmax", "1000000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "has over 10000 basis states" in out.err
+
     def test_too_many_coordinates_exit_2_at_lmax_0(self, capsys, monkeypatch):
         # Degree 0 has one state, but Q(H) has one term per coordinate.
         def quantize(*args):
@@ -250,11 +306,30 @@ class TestSpectrum:
 
         monkeypatch.setattr("genosc.quantization.quantize", quantize)
         with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--m", "10001", "--lmax", "0"])
+            main(["spectrum", "--m", "1400001", "--lmax", "0"])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "--m 10001 is over the limit of 10000" in out.err
+        assert "--m 1400001 --lmax 0 has 1400001 exponent entries" in out.err
+
+    @pytest.mark.parametrize("m, lmax", [(1_400_000, 0), (1182, 1), (139, 2)])
+    def test_largest_m_is_within_the_entry_limit(self, monkeypatch, m, lmax):
+        class Checking(Exception):
+            pass
+
+        def spectrum_of_H(*args):
+            raise Checking
+
+        monkeypatch.setattr(cli, "spectrum_of_H", spectrum_of_H)
+        with pytest.raises(Checking):
+            main(["spectrum", "--m", str(m), "--lmax", str(lmax)])
+
+    def test_many_coordinates_at_lmax_0(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--m", "2000", "--lmax", "0")
+        assert code == 0
+        assert json.loads(out)["rows"] == [
+            {"l": 0, "eigenvalue": "1000", "eigenvalue_float": 1000, "multiplicity": 1}
+        ]
 
     def test_largest_lmax_is_within_the_state_limit(self, capsys):
         # C(lmax + 2, 2) states: 9 870 at lmax = 139, 10 011 at lmax = 140.

@@ -18,7 +18,6 @@ from genosc import (
     structure_bracket,
 )
 from genosc.exact import ZERO
-from genosc.quantization import _basis_tables
 
 HALF = Fraction(1, 2)
 
@@ -47,6 +46,24 @@ class TestMonomialBasis:
         assert len(set(basis.indices)) == basis.size == comb(l + m - 1, m - 1)
         assert all(sum(k) == l and min(k) >= 0 for k in basis.indices)
 
+    @given(st.integers(1, 5), st.integers(0, 6))
+    def test_order_is_ascending_on_reversed_exponents(self, m, l):
+        # the definition: every exponent tuple of sum l, sorted ascending on
+        # the reversed tuple
+        brute = [k for k in itertools.product(range(l + 1), repeat=m) if sum(k) == l]
+        basis = monomial_basis(m, l)
+        assert basis.indices == tuple(sorted(brute, key=lambda k: k[::-1]))
+        keys = basis.keys.tolist()
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("m, l", [(5000, 0), (1200, 1)])
+    def test_many_coordinates(self, m, l):
+        # far more coordinates than Python's default recursion limit
+        basis = monomial_basis(m, l)
+        assert basis.size == comb(l + m - 1, m - 1)
+        assert basis.indices[0] == (l,) + (0,) * (m - 1)
+        assert basis.indices[-1] == (0,) * (m - 1) + (l,)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             monomial_basis(0, 1)
@@ -57,11 +74,13 @@ class TestMonomialBasis:
         assert monomial_basis(3, 4) is monomial_basis(3, 4)
 
     def test_cached_tables_are_read_only(self):
-        _, k, radix, keys, identity = _basis_tables(3, 2)
-        for array in (k, radix, keys, identity):
+        basis = monomial_basis(3, 2)
+        for array in (basis.exponents, basis.place_values, basis.keys, basis.identity):
             with pytest.raises(ValueError):
                 array[0] = 7
-        assert identity.tolist() == list(range(monomial_basis(3, 2).size))
+        assert basis.exponents.tolist() == [list(k) for k in basis.indices]
+        assert basis.place_values.tolist() == [1, 3, 9]
+        assert basis.identity.tolist() == list(range(basis.size))
 
 
 class TestQuantize:
@@ -69,19 +88,19 @@ class TestQuantize:
         op = quantize(AlgebraElement.basis(2, 0, 0), 1)
         # basis [(1,0), (0,1)]: z^0 d_0 + 1/2 acts as diag(3/2, 1/2) hbar
         assert op.matrix(1) == {
-            (0, 0): ComplexRational.of(Fraction(3, 2)),
-            (1, 1): ComplexRational.of(HALF),
+            (0, 0): ComplexRational(Fraction(3, 2)),
+            (1, 1): ComplexRational(HALF),
         }
 
     def test_off_diagonal_basis_element(self):
         op = quantize(AlgebraElement.basis(2, 0, 1), 1)
         # z^0 d_1 maps (0,1) to (1,0) with unit coefficient
-        assert op.matrix(1) == {(0, 1): ComplexRational.of(1)}
+        assert op.matrix(1) == {(0, 1): ComplexRational(1)}
         assert op.matrix(0) == {}
 
     def test_constant_is_identity(self):
         op = quantize(AlgebraElement(2, constant=7), 2)
-        assert op.matrix(0) == {(i, i): ComplexRational.of(7) for i in range(3)}
+        assert op.matrix(0) == {(i, i): ComplexRational(7) for i in range(3)}
         assert op.matrix(1) == {}
 
     def test_degree_preservation(self):
@@ -104,9 +123,9 @@ class TestQuantize:
     def test_linearity(self, c1, c2):
         e1 = AlgebraElement.basis(2, 0, 1)
         e2 = AlgebraElement.hamiltonian(2)
-        combo = ComplexRational.of(c1) * e1 + ComplexRational.of(c2) * e2
+        combo = ComplexRational(c1) * e1 + ComplexRational(c2) * e2
         lhs = quantize(combo, 2)
-        rhs = ComplexRational.of(c1) * quantize(e1, 2) + ComplexRational.of(c2) * quantize(e2, 2)
+        rhs = ComplexRational(c1) * quantize(e1, 2) + ComplexRational(c2) * quantize(e2, 2)
         assert (lhs - rhs).is_zero
 
     def test_trace_identity(self):
@@ -121,7 +140,7 @@ class TestQuantize:
                         else Fraction(0)
                     )
                     diagonal = [v for (r, c), v in op.matrix(1).items() if r == c]
-                    assert sum(diagonal, ComplexRational()) == ComplexRational.of(expected)
+                    assert sum(diagonal, ComplexRational()) == ComplexRational(expected)
 
     def test_entries_are_half_integers_for_basis_elements(self):
         op = quantize(AlgebraElement.basis(3, 1, 1), 3)
@@ -204,7 +223,7 @@ def dense_matmul(x, y):
 small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 complex_rational = st.one_of(
     st.just(ComplexRational()),
-    st.builds(ComplexRational.of, small_rational, small_rational),
+    st.builds(ComplexRational, small_rational, small_rational),
 )
 
 
@@ -255,8 +274,8 @@ class TestOperatorAlgebra:
     def test_difference_with_itself_is_zero(self):
         e = AlgebraElement(
             2,
-            {(0, 0): 1, (0, 1): ComplexRational.of(2, -1), (1, 0): Fraction(1, 3), (1, 1): 5},
-            ComplexRational.of(0, 4),
+            {(0, 0): 1, (0, 1): ComplexRational(2, -1), (1, 0): Fraction(1, 3), (1, 1): 5},
+            ComplexRational(0, 4),
         )
         q = quantize(e, 3)
         assert len(q.terms) == 5 and not q.is_zero
@@ -267,10 +286,10 @@ class TestOperatorAlgebra:
     def test_repeated_quantize_matches_formula(self):
         # the second call at the same (m, l) reads the cached basis tables
         e1 = AlgebraElement(
-            2, {(0, 0): 1, (0, 1): ComplexRational.of(0, 2), (1, 0): Fraction(1, 3), (1, 1): 0}, 4
+            2, {(0, 0): 1, (0, 1): ComplexRational(0, 2), (1, 0): Fraction(1, 3), (1, 1): 0}, 4
         )
         e2 = AlgebraElement(
-            2, {(0, 0): 0, (0, 1): 0, (1, 0): ComplexRational.of(-1, 1), (1, 1): Fraction(5, 2)}
+            2, {(0, 0): 0, (0, 1): 0, (1, 0): ComplexRational(-1, 1), (1, 1): Fraction(5, 2)}
         )
         for e in (e1, e2, e1):
             op = quantize(e, 4)
@@ -281,7 +300,7 @@ class TestOperatorAlgebra:
         # z^1 d_0 kills z^1: its would-be image, exponents (-1, 2), has a key
         # past the last basis key.  Squared, the operator kills degree 1.
         op = quantize(AlgebraElement.basis(2, 1, 0), 1)
-        assert op.matrix(1) == {(1, 0): ComplexRational.of(1)}
+        assert op.matrix(1) == {(1, 0): ComplexRational(1)}
         assert (op @ op).is_zero
 
 
@@ -317,7 +336,7 @@ class TestDirac:
         e2 = AlgebraElement.basis(2, 0, 1)
         q1, q2 = quantize(e1, 1), quantize(e2, 1)
         wrong = q1.commutator(q2) - (
-            ComplexRational.of(0, 1) * quantize(structure_bracket(e1, e2), 1)
+            ComplexRational(0, 1) * quantize(structure_bracket(e1, e2), 1)
         ).shift_hbar(1)
         assert not wrong.is_zero
 
