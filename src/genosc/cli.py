@@ -79,11 +79,12 @@ MAX_DIRAC_PAIRS = 4096
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
-#: many as Q(H) has weights; checked before any basis is built.  At this
-#: limit, in one process on a 2-core x86-64 VM with Python 3.11, spectrum
-#: --m 1400000 --lmax 0 (one Q(H) term per entry, the costliest shape) took
-#: 18.7 s at 790 MB peak RSS, --m 1182 --lmax 1 0.9-1.0 s at 62 MB and
-#: --m 139 --lmax 2 1.0-1.3 s at 64 MB.
+#: many as the basis's exponent table holds; checked before any basis is
+#: built.  At this limit, in one process on a 2-core x86-64 VM with Python
+#: 3.11, spectrum --m 1400000 --lmax 0 (the costliest shape: most of it
+#: builds H's m coefficients and groups them by value) took 4.9-6.6 s at
+#: 676 MB peak RSS, --m 1182 --lmax 1 0.10-0.16 s at 62 MB and --m 139
+#: --lmax 2 0.10-0.13 s at 61 MB.
 MAX_SPECTRUM_ENTRIES = 1_400_000
 
 

@@ -6,7 +6,10 @@ built blockwise on the degree-l monomial basis.  On a monomial z^k,
 2 Q(N^{ab'}) / hbar gives the integer (2 k_b + delta_ab) times the monomial
 z^{k - e_b + e_a}: a weighted partial permutation of the basis.  Operators
 are sums of such permutations with exact complex-rational coefficients and a
-symbolic power of hbar, and every matrix entry is read out exactly.
+symbolic power of hbar.  All diagonal coefficients that are equal make one
+identity-target term, so Q(H) is one term at any m.  Matrix entries are read
+out exactly: terms with equal targets are summed as integer arrays first, and
+only the nonzero entries of those sums are visited one by one.
 """
 from __future__ import annotations
 
@@ -97,22 +100,31 @@ class QuantumOperator:
         """The hbar^power part as {(row, col): value}, exact zeros dropped.
 
         The integer numerators of the coefficients are brought to their
-        common denominator, so entries are summed in integers.
+        common denominator.  Terms with equal targets are first summed as
+        integer weight arrays, real and imaginary parts apart, and only the
+        nonzero columns of each such sum are visited entry by entry.
         """
-        terms = [(c.as_gaussian_ratio(), t, w) for p, c, t, w in self.terms if p == power]
-        den = lcm(*(d for (_, _, d), _, _ in terms))
+        groups: dict = {}
+        for p, c, t, w in self.terms:
+            if p == power:
+                groups.setdefault(t.tobytes(), (t, []))[1].append((c.as_gaussian_ratio(), w))
+        den = lcm(*(d for _, group in groups.values() for (_, _, d), _ in group))
         re: dict = {}
         im: dict = {}
-        for (c_re, c_im, d), target, weight in terms:
-            c_re, c_im = c_re * (den // d), c_im * (den // d)
-            for col, (row, w) in enumerate(zip(target.tolist(), weight.tolist())):
-                if w:
-                    re[row, col] = re.get((row, col), 0) + w * c_re
-                    im[row, col] = im.get((row, col), 0) + w * c_im
+        for target, group in groups.values():
+            for part, out in enumerate((re, im)):
+                scaled = [w * (c[part] * (den // c[2])) for c, w in group if c[part]]
+                if not scaled:
+                    continue
+                total = sum(scaled[1:], scaled[0])
+                cols = total.nonzero()[0]
+                rows = target[cols].tolist()
+                for rc, x in zip(zip(rows, cols.tolist()), total[cols].tolist()):
+                    out[rc] = out.get(rc, 0) + x
         return {
-            rc: ComplexRational.from_gaussian_ratio(x, im[rc], den)
-            for rc, x in re.items()
-            if x or im[rc]
+            rc: ComplexRational.from_gaussian_ratio(re.get(rc, 0), im.get(rc, 0), den)
+            for rc in {**re, **im}
+            if re.get(rc) or im.get(rc)
         }
 
     @property
@@ -157,10 +169,13 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     """Build the exact operator of e on the degree-l monomial basis.
 
     On a monomial z^k the (a, b) coefficient contributes
-    hbar (k_b + delta_ab / 2) to z^{k - e_b + e_a}, one term per nonzero
-    coefficient; the constant term is a multiple of the identity at hbar
-    power 0.  Targets are found by binary search on the mixed-radix key
-    sum_i k_i (l+1)^i, in which the graded reverse-lex basis is ascending.
+    hbar (k_b + delta_ab / 2) to z^{k - e_b + e_a}: one term per nonzero
+    off-diagonal coefficient, and one identity-target term per distinct
+    diagonal coefficient c, of weight sum_b (2 k_b + 1) over the coordinates
+    b with c_bb = c, summed over those columns at once; the constant term is
+    a multiple of the identity at hbar power 0.  Targets are found by binary
+    search on the mixed-radix key sum_i k_i (l+1)^i, in which the graded
+    reverse-lex basis is ascending.
     """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
@@ -169,13 +184,16 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     terms = []
     if e.constant:
         terms.append((0, e.constant, identity, np.ones(basis.size, dtype=object)))
+    diagonal: dict = {}
     for (a, b), c in e.terms.items():
         if a == b:
-            target = identity
-        else:
-            moved = np.searchsorted(keys, keys - radix[b] + radix[a])
-            target = np.where(k[:, b] > 0, moved, identity)
-        terms.append((1, c * _HALF, target, 2 * k[:, b] + (a == b)))
+            diagonal.setdefault(c, []).append(a)
+            continue
+        moved = np.searchsorted(keys, keys - radix[b] + radix[a])
+        target = np.where(k[:, b] > 0, moved, identity)
+        terms.append((1, c * _HALF, target, 2 * k[:, b]))
+    for c, cols in diagonal.items():
+        terms.append((1, c * _HALF, identity, 2 * k.take(cols, axis=1).sum(axis=1) + len(cols)))
     return QuantumOperator(basis.size, tuple(terms))
 
 

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +234,104 @@ def elements(draw, m):
 
 
 SHAPES = [(1, 3), (2, 3), (3, 2)]
+
+
+def reference_matrix(op, power):
+    """op.matrix(power) by the per-entry loop: every column of every term,
+    two dict updates per nonzero weight."""
+    terms = [(c.as_gaussian_ratio(), t, w) for p, c, t, w in op.terms if p == power]
+    den = lcm(*(d for (_, _, d), _, _ in terms))
+    re: dict = {}
+    im: dict = {}
+    for (c_re, c_im, d), target, weight in terms:
+        c_re, c_im = c_re * (den // d), c_im * (den // d)
+        for col, (row, w) in enumerate(zip(target.tolist(), weight.tolist())):
+            if w:
+                re[row, col] = re.get((row, col), 0) + w * c_re
+                im[row, col] = im.get((row, col), 0) + w * c_im
+    return {
+        rc: ComplexRational.from_gaussian_ratio(x, im[rc], den)
+        for rc, x in re.items()
+        if x or im[rc]
+    }
+
+
+@st.composite
+def operators(draw, m, l, depth=2):
+    """A quantized element, or a sum, scalar multiple, product or commutator
+    of such operators, nested up to depth."""
+    q = quantize(draw(elements(m)), l)
+    kind = draw(st.sampled_from(["leaf", "sum", "scale", "product", "commutator"]))
+    if depth == 0 or kind == "leaf":
+        return q
+    other = draw(operators(m, l, depth - 1))
+    if kind == "sum":
+        return q + other
+    if kind == "scale":
+        return draw(complex_rational) * other
+    if kind == "product":
+        return q @ other
+    return q.commutator(other)
+
+
+class TestReadout:
+    """QuantumOperator.matrix against the per-entry loop it replaces."""
+
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, m, l, data):
+        op = data.draw(operators(m, l))
+        # nested products reach hbar^3
+        for power in range(4):
+            assert op.matrix(power) == reference_matrix(op, power)
+
+    def test_commuting_products_cancel_across_targets(self):
+        # N^{02'} and N^{12'} commute: their two products have equal weights
+        # but targets that differ on zero-weight columns, so they are summed
+        # apart and cancel entry by entry
+        q02 = quantize(AlgebraElement.basis(3, 0, 2), 3)
+        q12 = quantize(AlgebraElement.basis(3, 1, 2), 3)
+        ((_, _, t1, w1),) = (q02 @ q12).terms
+        ((_, _, t2, w2),) = (q12 @ q02).terms
+        assert (w1 == w2).all() and (t1 != t2).any()
+        op = q02 @ q12 - q12 @ q02
+        for power in range(3):
+            assert op.matrix(power) == reference_matrix(op, power) == {}
+        assert op.is_zero
+
+    def test_hamiltonian_minus_eigenvalue_cancels_in_one_sum(self):
+        m, l = 3, 4
+        op = quantize(AlgebraElement.hamiltonian(m), l) - quantize(
+            AlgebraElement(m, constant=Fraction(2 * l + m, 2)), l
+        ).shift_hbar(1)
+        assert len({t.tobytes() for _, _, t, _ in op.terms}) == 1
+        for power in range(3):
+            assert op.matrix(power) == reference_matrix(op, power) == {}
+
+    def test_difference_with_itself(self):
+        e = AlgebraElement(3, {(0, 0): 1, (0, 2): ComplexRational(1, -2), (2, 1): 3}, 5)
+        q = quantize(e, 2)
+        for power in range(3):
+            assert (q - q).matrix(power) == reference_matrix(q - q, power) == {}
+
+
+class TestDiagonalMerge:
+    @pytest.mark.parametrize("m, l", [(1, 3), (4, 2), (2000, 0)])
+    def test_hamiltonian_is_one_term(self, m, l):
+        op = quantize(AlgebraElement.hamiltonian(m), l)
+        assert len([term for term in op.terms if term[0] == 1]) == 1
+        eigenvalue = ComplexRational(Fraction(2 * l + m, 2))
+        assert op.matrix(1) == {(i, i): eigenvalue for i in range(op.dim)}
+
+    def test_one_term_per_distinct_diagonal_coefficient(self):
+        e = AlgebraElement(3, {(0, 0): 1, (1, 1): 1, (2, 2): 2, (0, 1): 3})
+        op = quantize(e, 3)
+        identity = monomial_basis(3, 3).identity
+        diagonal = [term for term in op.terms if term[2] is identity]
+        assert len(diagonal) == 2 and len(op.terms) == 3
+        want = formula_matrices(e, 3)
+        assert (op.matrix(0), op.matrix(1)) == (want[0], want[1])
 
 
 class TestOperatorAlgebra:
