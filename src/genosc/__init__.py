@@ -37,6 +37,7 @@ from .quantization import (
     MonomialBasis,
     QuantumOperator,
     SpectralLine,
+    dirac_nonzero,
     dirac_residual,
     monomial_basis,
     quantize,
@@ -79,5 +80,6 @@ __all__ = [
     "monomial_basis",
     "quantize",
     "dirac_residual",
+    "dirac_nonzero",
     "spectrum_of_H",
 ]

@@ -33,7 +33,7 @@ from .errors import GenoscError
 from .exact import ComplexRational
 from .geometry import OscillatorParams, PhasePoint, metric_at, radial_profile, sample_points
 from .observables import AlgebraElement, evaluate
-from .quantization import dirac_residual, spectrum_of_H
+from .quantization import dirac_nonzero, spectrum_of_H
 
 SCHEMA_VERSION = 3
 
@@ -65,6 +65,13 @@ VERIFY_CHECKS = (
 #: about 0.45 GB.
 MAX_STENCIL_VALUES = 5_000_000
 
+#: Most stencil values a verify run evaluates, samples x 64 m^2 (m^2 + 4);
+#: checked before any point is drawn.  It allows the default 100 samples at
+#: every m verify allows.  At this limit, in one process on a 2-core x86-64
+#: VM with Python 3.11, verify --m 2 --a 1 --samples 244140 took 131 s at
+#: 328 MB peak RSS, and --m 16 --a 1 --samples 117 took 425 s at 211 MB.
+MAX_VERIFY_STENCIL_VALUES = 500_000_000
+
 #: Most basis pairs dirac checks: m^4 <= 4096 allows m <= 8.
 MAX_DIRAC_PAIRS = 4096
 
@@ -73,18 +80,19 @@ MAX_DIRAC_PAIRS = 4096
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
 #: enumerating a basis takes time and memory in proportion to its size.  At
 #: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
-#: --m 2 --l 9999 took 0.48 s at 37 MB peak RSS, spectrum --m 1 --lmax 9999
-#: 0.43 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
-#: 2.1-2.9 s in three runs.
+#: --m 2 --l 9999 took 0.11 s at 39 MB peak RSS, spectrum --m 1 --lmax 9999
+#: 0.61-0.83 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
+#: 0.63 s.  With both dirac limits reached at once, dirac --m 8 --l 8
+#: (6 435 states, 4 096 pairs) took 9.2 s.
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
 #: many as the basis's exponent table holds; checked before any basis is
 #: built.  At this limit, in one process on a 2-core x86-64 VM with Python
 #: 3.11, spectrum --m 1400000 --lmax 0 (the costliest shape: most of it
-#: builds H's m coefficients and groups them by value) took 4.9-6.6 s at
-#: 676 MB peak RSS, --m 1182 --lmax 1 0.10-0.16 s at 62 MB and --m 139
-#: --lmax 2 0.10-0.13 s at 61 MB.
+#: builds H's m terms and groups their coefficients by value) took
+#: 4.1-5.6 s at 591 MB peak RSS, --m 1182 --lmax 1 0.16-0.18 s at 61 MB
+#: and --m 139 --lmax 2 0.16-0.17 s at 61 MB.
 MAX_SPECTRUM_ENTRIES = 1_400_000
 
 
@@ -144,6 +152,9 @@ def _cmd_verify(args, parser) -> int:
             f"--m {args.m} needs {stencil_values} stencil values per sample,"
             f" over the limit of {MAX_STENCIL_VALUES}"
         )
+    what = f"--m {args.m} --samples {args.samples}"
+    total = args.samples * stencil_values
+    _check_limit(total, "stencil values", MAX_VERIFY_STENCIL_VALUES, what, parser)
     params = _params(args, parser)
     # Points have r ~ max(1, |a|): a large |a| or m overflows a^m, r^m or a
     # product inside the metric, which raises under errstate.
@@ -262,13 +273,7 @@ def _cmd_dirac(args, parser) -> int:
     _check_limit(n_pairs, "basis pairs", MAX_DIRAC_PAIRS, f"--m {args.m}", parser)
     states = math.comb(args.l + args.m - 1, args.m - 1)
     _check_limit(states, "basis states", MAX_BASIS_STATES, f"--m {args.m} --l {args.l}", parser)
-    m = args.m
-    basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
-    nonzero = 0
-    for e1 in basis:
-        for e2 in basis:
-            if not dirac_residual(e1, e2, args.l).is_zero:
-                nonzero += 1
+    nonzero = dirac_nonzero(args.m, args.l)
     ok = nonzero == 0
     report = {
         "schema_version": SCHEMA_VERSION,

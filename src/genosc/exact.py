@@ -150,4 +150,5 @@ def _coerce(x) -> ComplexRational:
 
 
 ZERO = ComplexRational()
+ONE = ComplexRational(1)
 I = ComplexRational(0, 1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import I, ComplexRational, ZERO, _coerce
+from .exact import I, ONE, ComplexRational, ZERO, _coerce
 from .geometry import OscillatorParams, ScalarField, _metric, _profile, wirtinger
 from .symplectic import TangentVector, _holo_part
 
@@ -48,8 +48,9 @@ class AlgebraElement:
 
     @classmethod
     def hamiltonian(cls, m: int) -> "AlgebraElement":
-        """H = sum_a N^{aa'}, the generalized-oscillator energy."""
-        return cls(m, {(a, a): 1 for a in range(m)})
+        """H = sum_a N^{aa'}, the generalized-oscillator energy; its m unit
+        coefficients are one shared ComplexRational."""
+        return cls(m, {(a, a): ONE for a in range(m)})
 
     @property
     def is_zero(self) -> bool:

@@ -9,7 +9,10 @@ are sums of such permutations with exact complex-rational coefficients and a
 symbolic power of hbar.  All diagonal coefficients that are equal make one
 identity-target term, so Q(H) is one term at any m.  Matrix entries are read
 out exactly: terms with equal targets are summed as integer arrays first, and
-only the nonzero entries of those sums are visited one by one.
+only the nonzero entries of those sums are visited one by one.  The Dirac
+check quantizes each of the m^2 basis elements once per command; each of the
+m^4 pairs then costs one structure bracket, one quantize of the bracket, one
+commutator and the exact zero test.
 """
 from __future__ import annotations
 
@@ -197,13 +200,28 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     return QuantumOperator(basis.size, tuple(terms))
 
 
-def dirac_residual(e1: AlgebraElement, e2: AlgebraElement, l: int) -> QuantumOperator:
-    """[Q(e1), Q(e2)] + i hbar Q({e1, e2}), expected to be exactly zero."""
-    e1._check(e2)
-    q1 = quantize(e1, l)
-    q2 = quantize(e2, l)
-    qb = quantize(structure_bracket(e1, e2), l)
+def dirac_residual(
+    q1: QuantumOperator, q2: QuantumOperator, qb: QuantumOperator
+) -> QuantumOperator:
+    """[q1, q2] + i hbar qb, expected to be exactly zero when q1 = Q(e1),
+    q2 = Q(e2) and qb = Q({e1, e2}).  `dirac_nonzero` quantizes each basis
+    element once per command and passes the operators in, so a pair costs one
+    structure_bracket, one quantize of the bracket, one commutator and the
+    exact zero test."""
     return q1.commutator(q2) + (I * qb).shift_hbar(1)
+
+
+def dirac_nonzero(m: int, l: int) -> int:
+    """The number of basis pairs (N^{ab'}, N^{cd'}) whose Dirac residual on
+    degree l is not exactly zero; each of the m^2 basis elements is quantized
+    once, so a run makes m^2 + m^4 quantize calls."""
+    basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
+    quantized = [(e, quantize(e, l)) for e in basis]
+    return sum(
+        not dirac_residual(q1, q2, quantize(structure_bracket(e1, e2), l)).is_zero
+        for e1, q1 in quantized
+        for e2, q2 in quantized
+    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from genosc import (
     AlgebraElement,
     OscillatorParams,
-    dirac_residual,
+    dirac_nonzero,
     metric_at,
     ricci_at,
     sample_points,
@@ -128,11 +128,9 @@ def test_criterion_5_polarization():
 def test_criterion_6_dirac_condition_exact():
     checked = 0
     for m in (2, 3):
-        basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
         for l in range(5):
-            for e1, e2 in itertools.product(basis, repeat=2):
-                assert dirac_residual(e1, e2, l).is_zero
-                checked += 1
+            assert dirac_nonzero(m, l) == 0
+            checked += m**4
     report(
         "criterion 6 (Dirac condition, exact)",
         True,

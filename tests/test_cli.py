@@ -185,6 +185,40 @@ class TestVerify:
         with pytest.raises(Sampling):
             main(["verify", "--m", "12", "--samples", "1"])
 
+    def test_too_many_samples_exit_2_before_sampling(self, capsys, monkeypatch):
+        def sample_points(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("genosc.cli.sample_points", sample_points)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1000000000000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--m 2 --samples 1000000000000 has 2048000000000000 stencil values" in out.err
+        assert "over the limit of 500000000" in out.err
+
+    @pytest.mark.parametrize(
+        "m, samples, largest",
+        [(2, 10, False), (2, 200, False), (16, 100, False), (2, 244_140, True), (16, 117, True)],
+    )
+    def test_sample_counts_within_the_total_limit(self, monkeypatch, m, samples, largest):
+        # samples x 64 m^2 (m^2 + 4) stencil values: 2 048 a sample at m = 2,
+        # 4 259 840 at m = 16.
+        class Sampling(Exception):
+            pass
+
+        def sample_points(*args):
+            raise Sampling
+
+        monkeypatch.setattr("genosc.cli.sample_points", sample_points)
+        with pytest.raises(Sampling):
+            main(["verify", "--m", str(m), "--samples", str(samples)])
+        if largest:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--m", str(m), "--samples", str(samples + 1)])
+            assert exc.value.code == 2
+
 
 class TestMutationGate:
     """The wrong metric of `wrong_metric` must fail where the metric is
@@ -212,15 +246,19 @@ class TestMutationGate:
 @pytest.fixture
 def no_half_form_shift(monkeypatch):
     """quantize with weight 2 k_b in place of 2 k_b + delta_ab: Q(e) less
-    hbar (sum_a c_aa) / 2 times the identity."""
+    hbar (sum_a c_aa) / 2 times the identity.  Returns the list of elements
+    it quantized, so a test can see that the patch is reached."""
     quantize = genosc.quantization.quantize
+    calls = []
 
     def unshifted(e, l):
+        calls.append(e)
         trace = sum((c for (a, b), c in e.terms.items() if a == b), ZERO)
         half_trace = AlgebraElement(e.m, constant=trace * Fraction(1, 2))
         return quantize(e, l) - quantize(half_trace, l).shift_hbar(1)
 
     monkeypatch.setattr(genosc.quantization, "quantize", unshifted)
+    return calls
 
 
 class TestHalfFormShift:
@@ -229,6 +267,7 @@ class TestHalfFormShift:
         code, out, _ = run(capsys, "dirac", "--m", "3", "--l", "2")
         assert code == 0
         assert json.loads(out)["nonzero_residuals"] == 0
+        assert len(no_half_form_shift) == 3**2 + 3**4
 
     def test_spectrum_fails_without_a_report(self, capsys, no_half_form_shift):
         code, out, err = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
@@ -370,10 +409,10 @@ class TestDirac:
         assert json.loads(out)["pairs_checked"] == 16
 
     def test_m9_exit_2_before_checking(self, capsys, monkeypatch):
-        def dirac_residual(*args):
+        def dirac_nonzero(*args):
             raise AssertionError("checking started")
 
-        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        monkeypatch.setattr(cli, "dirac_nonzero", dirac_nonzero)
         with pytest.raises(SystemExit) as exc:
             main(["dirac", "--m", "9", "--l", "1"])
         assert exc.value.code == 2
@@ -398,10 +437,10 @@ class TestDirac:
         class Checking(Exception):
             pass
 
-        def dirac_residual(*args):
+        def dirac_nonzero(*args):
             raise Checking
 
-        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        monkeypatch.setattr(cli, "dirac_nonzero", dirac_nonzero)
         with pytest.raises(Checking):
             main(["dirac", "--m", str(m), "--l", str(l)])
         with pytest.raises(SystemExit) as exc:
@@ -423,14 +462,27 @@ class TestDirac:
         assert report["nonzero_residuals"] == nonzero
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("m, l", [(1, 5), (2, 3), (4, 3)])
+    def test_each_basis_element_is_quantized_once(self, capsys, monkeypatch, m, l):
+        # m^2 basis operators, then one bracket per pair: m^2 + m^4 calls,
+        # where quantizing e1, e2 and the bracket per pair made 3 m^4.
+        quantize = genosc.quantization.quantize
+        calls = []
+        monkeypatch.setattr(
+            genosc.quantization, "quantize", lambda e, l: calls.append(e) or quantize(e, l)
+        )
+        code, _, _ = run(capsys, "dirac", "--m", str(m), "--l", str(l))
+        assert code == 0
+        assert len(calls) == m**2 + m**4
+
     def test_m8_is_within_the_pair_limit(self, monkeypatch):
         class Checking(Exception):
             pass
 
-        def dirac_residual(*args):
+        def dirac_nonzero(*args):
             raise Checking
 
-        monkeypatch.setattr(cli, "dirac_residual", dirac_residual)
+        monkeypatch.setattr(cli, "dirac_nonzero", dirac_nonzero)
         with pytest.raises(Checking):
             main(["dirac", "--m", "8", "--l", "1"])
 

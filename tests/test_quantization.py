@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genosc.quantization
 from genosc import (
     AlgebraElement,
     ComplexRational,
     DimensionMismatch,
     OscillatorParams,
+    dirac_nonzero,
     dirac_residual,
     monomial_basis,
     quantize,
@@ -402,6 +404,15 @@ class TestOperatorAlgebra:
         assert (op @ op).is_zero
 
 
+def pair_residual(e1, e2, l, bracket=structure_bracket):
+    """The Dirac residual of one pair, quantizing e1, e2 and their bracket."""
+    return dirac_residual(quantize(e1, l), quantize(e2, l), quantize(bracket(e1, e2), l))
+
+
+def negated_bracket(e1, e2):
+    return (-1) * structure_bracket(e1, e2)
+
+
 class TestDirac:
     def test_concrete_instance(self):
         # [Q(N^{00'}), Q(N^{01'})] = hbar Q(N^{01'}) on the degree-2 block
@@ -409,24 +420,24 @@ class TestDirac:
         e2 = AlgebraElement.basis(2, 0, 1)
         comm = quantize(e1, 2).commutator(quantize(e2, 2))
         assert (comm - quantize(e2, 2).shift_hbar(1)).is_zero
-        assert dirac_residual(e1, e2, 2).is_zero
+        assert pair_residual(e1, e2, 2).is_zero
 
     def test_self_residual(self):
         e = AlgebraElement.basis(3, 1, 2)
-        assert dirac_residual(e, e, 3).is_zero
+        assert pair_residual(e, e, 3).is_zero
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_central_hamiltonian(self, l):
         h = AlgebraElement.hamiltonian(2)
         for a in range(2):
             for b in range(2):
-                assert dirac_residual(h, AlgebraElement.basis(2, a, b), l).is_zero
+                assert pair_residual(h, AlgebraElement.basis(2, a, b), l).is_zero
 
     def test_exhaustive_small(self):
         basis = [AlgebraElement.basis(2, a, b) for a in range(2) for b in range(2)]
         for e1, e2 in itertools.product(basis, repeat=2):
             for l in (0, 1, 2):
-                assert dirac_residual(e1, e2, l).is_zero
+                assert pair_residual(e1, e2, l).is_zero
 
     def test_respects_structure_bracket_sign(self):
         # flipping the bracket sign must produce a nonzero residual
@@ -439,8 +450,25 @@ class TestDirac:
         assert not wrong.is_zero
 
     def test_dimension_mismatch(self):
+        # degree 1 has 2 states at m = 2 and 3 at m = 3
+        q2 = quantize(AlgebraElement.basis(2, 0, 0), 1)
+        q3 = quantize(AlgebraElement.basis(3, 0, 0), 1)
         with pytest.raises(DimensionMismatch):
-            dirac_residual(AlgebraElement.basis(2, 0, 0), AlgebraElement.basis(3, 0, 0), 1)
+            dirac_residual(q2, q3, q2)
+
+    @pytest.mark.parametrize("m, l, negated", [(2, 3, 10), (3, 2, 42), (4, 3, 108)])
+    def test_nonzero_count_matches_per_pair_oracle(self, monkeypatch, m, l, negated):
+        # With {f, g} negated, a pair's residual cancels only where the
+        # bracket is 0.
+        basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
+
+        def oracle(bracket):
+            pairs = itertools.product(basis, repeat=2)
+            return sum(not pair_residual(e1, e2, l, bracket).is_zero for e1, e2 in pairs)
+
+        assert dirac_nonzero(m, l) == oracle(structure_bracket) == 0
+        monkeypatch.setattr(genosc.quantization, "structure_bracket", negated_bracket)
+        assert dirac_nonzero(m, l) == oracle(negated_bracket) == negated
 
 
 class TestSpectrum:
