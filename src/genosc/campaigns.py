@@ -69,15 +69,15 @@ def field_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> fl
 
 def bracket_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max over all basis 4-tuples of |numeric Poisson bracket - exact
-    structure bracket evaluated pointwise|."""
+    structure bracket evaluated on the moment map of the points|."""
     m = params.m
     z = np.asarray(points, dtype=complex)
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
     N = lambda q: moment_map(params, q)
     num = poisson_bracket(N, N, params, z)
+    values = moment_map(params, z)
     ref = np.stack(
-        [evaluate(structure_bracket(e1, e2), params, z) for e1 in basis for e2 in basis],
-        axis=-1,
+        [evaluate(structure_bracket(e1, e2), values) for e1 in basis for e2 in basis], axis=-1
     )
     return _worst(num - ref.reshape(num.shape))
 

@@ -32,7 +32,7 @@ from .campaigns import (
 from .errors import GenoscError
 from .exact import ComplexRational
 from .geometry import OscillatorParams, PhasePoint, metric_at, radial_profile, sample_points
-from .observables import AlgebraElement, evaluate
+from .observables import AlgebraElement, evaluate, moment_map
 from .quantization import dirac_nonzero, spectrum_of_H
 
 SCHEMA_VERSION = 3
@@ -354,7 +354,11 @@ def _cmd_eval(args, parser) -> int:
                 report["g_inv"] = [[[v.real, v.imag] for v in row] for row in md.g_inv]
                 report["det_g"] = md.det_g
             else:
-                value = evaluate(element, params, point)
+                N = moment_map(params, point)
+                try:
+                    value = evaluate(element, N)
+                except (OverflowError, FloatingPointError):
+                    parser.error(f"the --element value at r = {point.r:g} overflows a float")
                 report["value"] = [value.real, value.imag]
     except GenoscError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"

@@ -84,12 +84,11 @@ def moment_map(params: OscillatorParams, p) -> np.ndarray:
     return prof.u_prime * z[..., :, None] * np.conj(z)[..., None, :]
 
 
-def evaluate(e: AlgebraElement, params: OscillatorParams, p) -> complex | np.ndarray:
-    """Pointwise value constant + sum over terms c N[a, b] of the moment map N
-    at points p (..., m), of shape (...)."""
-    if e.m != params.m:
-        raise DimensionMismatch(f"element over m = {e.m}, params have m = {params.m}")
-    N = moment_map(params, p)
+def evaluate(e: AlgebraElement, N: np.ndarray) -> complex | np.ndarray:
+    """Value constant + sum over terms c N[..., a, b] of e on moment-map values
+    N (..., m, m), as moment_map returns them, of shape (...)."""
+    if (e.m, e.m) != N.shape[-2:]:
+        raise DimensionMismatch(f"element over m = {e.m}, moment map of shape {N.shape}")
     total = np.full(N.shape[:-2], complex(e.constant))
     for (a, b), c in e.terms.items():
         total = total + complex(c) * N[..., a, b]

@@ -45,6 +45,25 @@ def test_bracket_residual_compares_every_pair(monkeypatch, m):
     assert campaigns.bracket_residual(params, points) >= 1e-2
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_bracket_residual_one_moment_map_of_the_samples(monkeypatch, m):
+    # The m^4 exact brackets are evaluated on one moment map of the samples;
+    # the stencil's calls see arrays of another shape.
+    params = OscillatorParams(m=m, a=1.0)
+    points = sample_points(params, 3, seed=73)
+    original = observables.moment_map
+    shapes = []
+
+    def moment_map(params, p):
+        shapes.append(np.shape(p))
+        return original(params, p)
+
+    for module in (observables, campaigns):
+        monkeypatch.setattr(module, "moment_map", moment_map)
+    assert campaigns.bracket_residual(params, points) < 1e-7
+    assert shapes.count((3, m)) == 1
+
+
 def test_polarization_residuals_one_call_per_field_family(monkeypatch):
     points = sample_points(P2_CURVED, 3, seed=71)
     calls = counting(monkeypatch, "preserves_polarization")

@@ -587,6 +587,24 @@ class TestEval:
         assert out.out == ""
         assert "r = 1e+300" in out.err and "overflows" in out.err
 
+    @pytest.mark.parametrize(
+        "point, coeff",
+        [("[[1, 0], [1, 0]]", "1e400"), ("[[1e5, 0], [1, 0]]", "1e300")],
+        ids=["coefficient", "product"],
+    )
+    def test_overflowing_element_value_exit_2(self, capsys, monkeypatch, point, coeff):
+        # The point's moment map is finite; the element's value is not.
+        monkeypatch.setattr("sys.stdin", io.StringIO(point))
+        element = f'{{"coeff": [[["{coeff}", 0], [0, 0]], [[0, 0], [1, 0]]]}}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--m", "2", "--a", "0", "--element", element])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--element" in out.err and "overflows" in out.err
+
 
 class TestRenderJson:
     def test_finite_values(self):

@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +28,11 @@ from genosc.exact import ZERO
 
 P2_FLAT = OscillatorParams(m=2, a=0.0)
 P2_CURVED = OscillatorParams(m=2, a=1.0)
+
+
+def as_field(e, params):
+    """The element e as a scalar field of points."""
+    return lambda q: evaluate(e, moment_map(params, q))
 
 
 def elements_strategy(m):
@@ -101,20 +105,20 @@ class TestConstructor:
 class TestEvaluate:
     def test_flat_basis(self):
         e = AlgebraElement.basis(2, 0, 0)
-        assert evaluate(e, P2_FLAT, PhasePoint([2, 0])) == pytest.approx(4.0)
+        assert evaluate(e, moment_map(P2_FLAT, PhasePoint([2, 0]))) == pytest.approx(4.0)
 
     def test_hamiltonian_curved(self):
         h = AlgebraElement.hamiltonian(2)
-        got = evaluate(h, P2_CURVED, PhasePoint([1, 1]))
+        got = evaluate(h, moment_map(P2_CURVED, PhasePoint([1, 1])))
         assert got == pytest.approx(math.sqrt(3), rel=1e-14)
 
     def test_constant(self):
         e = AlgebraElement(2, constant=5)
-        assert evaluate(e, P2_CURVED, PhasePoint([1, 1])) == pytest.approx(5.0)
+        assert evaluate(e, moment_map(P2_CURVED, PhasePoint([1, 1]))) == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            evaluate(AlgebraElement.basis(3, 0, 0), P2_FLAT, PhasePoint([1, 1]))
+            evaluate(AlgebraElement.basis(3, 0, 0), moment_map(P2_FLAT, PhasePoint([1, 1])))
 
 
 MOMENT_MAP_PARAMS = [OscillatorParams(m=m, a=a) for m in (2, 3) for a in (0.0, 1.0)]
@@ -128,7 +132,7 @@ class TestMomentMap:
             N = moment_map(params, p)
             assert N.shape == (m, m)
             for a, b in itertools.product(range(m), repeat=2):
-                assert N[a, b] == evaluate(AlgebraElement.basis(m, a, b), params, p)
+                assert N[a, b] == as_field(AlgebraElement.basis(m, a, b), params)(p)
 
     @pytest.mark.parametrize("params", MOMENT_MAP_PARAMS)
     def test_field_slices_match_scalar_fields(self, params):
@@ -138,7 +142,7 @@ class TestMomentMap:
             X = hamiltonian_field(N, params, p)
             assert X.holo.shape == X.anti.shape == (m, m, m)
             for a, b in itertools.product(range(m), repeat=2):
-                f = partial(evaluate, AlgebraElement.basis(m, a, b), params)
+                f = as_field(AlgebraElement.basis(m, a, b), params)
                 ref = hamiltonian_field(f, params, p)
                 assert np.max(np.abs(X.holo[:, a, b] - ref.holo)) < 1e-12
                 assert np.max(np.abs(X.anti[:, a, b] - ref.anti)) < 1e-12
@@ -148,7 +152,7 @@ class TestMomentMap:
         m = params.m
         N = lambda q: moment_map(params, q)
         fields = [
-            partial(evaluate, AlgebraElement.basis(m, a, b), params)
+            as_field(AlgebraElement.basis(m, a, b), params)
             for a in range(m)
             for b in range(m)
         ]
@@ -251,9 +255,9 @@ class TestPointwiseAgreement:
             exact = structure_bracket(e1, e2)
             for p in points:
                 num = poisson_bracket(
-                    partial(evaluate, e1, params), partial(evaluate, e2, params), params, p
+                    as_field(e1, params), as_field(e2, params), params, p
                 )
-                assert abs(num - evaluate(exact, params, p)) < 1e-7
+                assert abs(num - as_field(exact, params)(p)) < 1e-7
 
 
 class TestClosedFormField:
@@ -289,7 +293,7 @@ class TestPolarization:
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
     def test_basis_observables_preserve(self, params):
         samples = sample_points(params, 10, seed=21)
-        f = partial(evaluate, AlgebraElement.basis(2, 0, 1), params)
+        f = as_field(AlgebraElement.basis(2, 0, 1), params)
         assert preserves_polarization(f, params, samples) <= 1e-5
 
     @pytest.mark.parametrize("params", [P2_FLAT, P2_CURVED])
@@ -309,7 +313,7 @@ class TestPolarization:
         m = params.m
         samples = sample_points(params, 3, seed=43)
         fields = [
-            partial(evaluate, AlgebraElement.basis(m, 0, m - 1), params),
+            as_field(AlgebraElement.basis(m, 0, m - 1), params),
             lambda z: z[..., 0] * z[..., m - 1] ** 2,
             lambda z: np.conj(z[..., 0]) ** 2,
         ]

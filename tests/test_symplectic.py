@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -25,8 +24,13 @@ P2_CURVED = OscillatorParams(m=2, a=1.0)
 POINT = PhasePoint([1, 1])
 
 
+def as_field(e, params):
+    """The element e as a scalar field of points."""
+    return lambda q: evaluate(e, moment_map(params, q))
+
+
 def n_field(params, a, b):
-    return partial(evaluate, AlgebraElement.basis(params.m, a, b), params)
+    return as_field(AlgebraElement.basis(params.m, a, b), params)
 
 
 def omega(params, p, X, Y):
@@ -81,7 +85,7 @@ class TestHamiltonianField:
 
     def test_reality_of_real_function_fields(self):
         # H and N^{00'} are real; their fields must satisfy anti = conj(holo)
-        H = partial(evaluate, AlgebraElement.hamiltonian(2), P2_CURVED)
+        H = as_field(AlgebraElement.hamiltonian(2), P2_CURVED)
         for f in [H, n_field(P2_CURVED, 0, 0)]:
             X = hamiltonian_field(f, P2_CURVED, POINT)
             assert np.allclose(X.anti, np.conj(X.holo), atol=1e-9)
@@ -144,7 +148,7 @@ class TestBatches:
         H = AlgebraElement.hamiltonian(2) + AlgebraElement(2, constant=3)
         batched = [
             moment_map(P2_CURVED, Z),
-            evaluate(H, P2_CURVED, Z),
+            evaluate(H, moment_map(P2_CURVED, Z)),
             hamiltonian_field(N, P2_CURVED, Z).holo,
             hamiltonian_field(N, P2_CURVED, Z).anti,
             poisson_bracket(N, N, P2_CURVED, Z),
@@ -154,7 +158,7 @@ class TestBatches:
         ]
         per_point = [
             [moment_map(P2_CURVED, p) for p in points],
-            [evaluate(H, P2_CURVED, p) for p in points],
+            [evaluate(H, moment_map(P2_CURVED, p)) for p in points],
             [hamiltonian_field(N, P2_CURVED, p).holo for p in points],
             [hamiltonian_field(N, P2_CURVED, p).anti for p in points],
             [poisson_bracket(N, N, P2_CURVED, p) for p in points],
