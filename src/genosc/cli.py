@@ -80,10 +80,10 @@ MAX_DIRAC_PAIRS = 4096
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
 #: enumerating a basis takes time and memory in proportion to its size.  At
 #: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
-#: --m 2 --l 9999 took 0.11 s at 39 MB peak RSS, spectrum --m 1 --lmax 9999
-#: 0.61-0.83 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
-#: 0.63 s.  With both dirac limits reached at once, dirac --m 8 --l 8
-#: (6 435 states, 4 096 pairs) took 9.2 s.
+#: --m 2 --l 9999 took 0.06 s at 35 MB peak RSS, spectrum --m 1 --lmax 9999
+#: 0.78 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
+#: 0.38 s.  With both dirac limits reached at once, dirac --m 8 --l 8
+#: (6 435 states, 4 096 pairs) took 4.9 s.
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
@@ -91,8 +91,8 @@ MAX_BASIS_STATES = 10_000
 #: built.  At this limit, in one process on a 2-core x86-64 VM with Python
 #: 3.11, spectrum --m 1400000 --lmax 0 (the costliest shape: most of it
 #: builds H's m terms and groups their coefficients by value) took
-#: 4.1-5.6 s at 591 MB peak RSS, --m 1182 --lmax 1 0.16-0.18 s at 61 MB
-#: and --m 139 --lmax 2 0.16-0.17 s at 61 MB.
+#: 1.7-2.1 s at 312 MB peak RSS, --m 1182 --lmax 1 0.18 s at 61 MB and
+#: --m 139 --lmax 2 0.16 s at 61 MB.
 MAX_SPECTRUM_ENTRIES = 1_400_000
 
 

@@ -37,9 +37,12 @@ class AlgebraElement:
             c = _coerce(c)
             if c:
                 kept.append(((a, b), c))
+        self._fill(m, dict(sorted(kept)), _coerce(constant))
+
+    def _fill(self, m: int, terms: dict, constant: ComplexRational):
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", dict(sorted(kept)))
-        object.__setattr__(self, "constant", _coerce(constant))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "constant", constant)
 
     @classmethod
     def basis(cls, m: int, alpha: int, beta: int) -> "AlgebraElement":
@@ -49,8 +52,11 @@ class AlgebraElement:
     @classmethod
     def hamiltonian(cls, m: int) -> "AlgebraElement":
         """H = sum_a N^{aa'}, the generalized-oscillator energy; its m unit
-        coefficients are one shared ComplexRational."""
-        return cls(m, {(a, a): ONE for a in range(m)})
+        coefficients are one shared ComplexRational.  Its terms are in range,
+        nonzero and ascending as built, so they skip the per-term checks."""
+        h = object.__new__(cls)
+        h._fill(m, {(a, a): ONE for a in range(m)}, ZERO)
+        return h
 
     @property
     def is_zero(self) -> bool:

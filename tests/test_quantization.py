@@ -288,6 +288,18 @@ class TestReadout:
         for power in range(4):
             assert op.matrix(power) == reference_matrix(op, power)
 
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_is_zero_matches_reference(self, m, l, data):
+        # a Dirac residual is zero, often only once terms with different
+        # targets cancel entry by entry
+        e1, e2 = data.draw(elements(m)), data.draw(elements(m))
+        residual = pair_residual(e1, e2, l)
+        for op in (data.draw(operators(m, l)), residual):
+            assert op.is_zero == all(reference_matrix(op, power) == {} for power in range(4))
+        assert residual.is_zero
+
     def test_commuting_products_cancel_across_targets(self):
         # N^{02'} and N^{12'} commute: their two products have equal weights
         # but targets that differ on zero-weight columns, so they are summed
@@ -371,6 +383,17 @@ class TestOperatorAlgebra:
                     ]
             assert dense(comm.matrix(power), dim) == want
 
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_commutator_matches_difference_of_products(self, m, l, data):
+        # depth 1 keeps the products' term counts small: each factor
+        # reaches hbar^2, so the products reach hbar^4
+        q1, q2 = data.draw(operators(m, l, depth=1)), data.draw(operators(m, l, depth=1))
+        comm, difference = q1.commutator(q2), q1 @ q2 - q2 @ q1
+        for power in range(5):
+            assert comm.matrix(power) == difference.matrix(power)
+
     def test_difference_with_itself_is_zero(self):
         e = AlgebraElement(
             2,
@@ -402,6 +425,50 @@ class TestOperatorAlgebra:
         op = quantize(AlgebraElement.basis(2, 1, 0), 1)
         assert op.matrix(1) == {(1, 0): ComplexRational(1)}
         assert (op @ op).is_zero
+
+
+class TestInt64Bound:
+    """Weights are int64 while their carried bound fits, and Python ints
+    beyond it; keys are sized by 2 (l+1)^m the same way."""
+
+    def test_fifth_power_past_int64_reads_exactly(self):
+        # m = 1, l = 10^6: one state, Q(N^{00'}) = (2l + 1)/2 hbar, and the
+        # fifth power's weight (2l + 1)^5 is about 3.2e31
+        l = 10**6
+        q = quantize(AlgebraElement.basis(1, 0, 0), l)
+        power = q @ q @ q @ q @ q
+        assert power.bound == (2 * l + 1) ** 5 > 2**63
+        want = ComplexRational(Fraction(32000080000080000040000010000001, 32))
+        assert want == ComplexRational(Fraction(2 * l + 1, 2) ** 5)
+        assert power.matrix(5) == {(0, 0): want}
+        assert not power.is_zero
+        assert (power - power).is_zero
+
+    def test_huge_scalar_reads_exactly(self):
+        e = AlgebraElement(3, {(0, 0): 1, (0, 2): ComplexRational(1, -2), (2, 1): 3}, 5)
+        q = quantize(e, 4)
+        scaled = 10**30 * q
+        for power in range(3):
+            want = {rc: 10**30 * v for rc, v in q.matrix(power).items()}
+            assert scaled.matrix(power) == reference_matrix(scaled, power) == want
+        assert (scaled - 10**30 * q).is_zero
+        assert not (scaled - (10**30 + 1) * q).is_zero
+
+    @pytest.mark.parametrize("l", [2**62, 2**64], ids=["2^62", "2^64"])
+    def test_degree_past_int64_reads_exactly(self, l):
+        # one state z^l: 2l + 1 passes int64 at l = 2^62, l itself at 2^64
+        op = quantize(AlgebraElement(1, {(0, 0): 1}, 3), l)
+        assert op.matrix(0) == {(0, 0): ComplexRational(3)}
+        assert op.matrix(1) == {(0, 0): ComplexRational(Fraction(2 * l + 1, 2))}
+
+    def test_keys_past_int64_match_formula(self):
+        m, l = 64, 1
+        basis = monomial_basis(m, l)
+        assert basis.keys.tolist()[-1] == 2**63 > 2**63 - 1
+        e = AlgebraElement(m, {(63, 0): 1, (0, 63): ComplexRational(0, 2), (5, 40): 3, (7, 7): 1})
+        want = formula_matrices(e, l)
+        op = quantize(e, l)
+        assert (op.matrix(0), op.matrix(1)) == (want[0], want[1])
 
 
 def pair_residual(e1, e2, l, bracket=structure_bracket):
