@@ -80,10 +80,10 @@ MAX_DIRAC_PAIRS = 4096
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
 #: enumerating a basis takes time and memory in proportion to its size.  At
 #: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
-#: --m 2 --l 9999 took 0.06 s at 35 MB peak RSS, spectrum --m 1 --lmax 9999
-#: 0.78 s at 37 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
-#: 0.38 s.  With both dirac limits reached at once, dirac --m 8 --l 8
-#: (6 435 states, 4 096 pairs) took 4.9 s.
+#: --m 2 --l 9999 took 0.03 s at 33 MB peak RSS, spectrum --m 1 --lmax 9999
+#: 0.53 s at 38 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
+#: 0.07 s.  With both dirac limits reached at once, dirac --m 8 --l 8
+#: (6 435 states, 4 096 pairs) took 1.2-1.7 s at 37 MB.
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as

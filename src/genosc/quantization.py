@@ -16,11 +16,17 @@ takes the larger.  An array whose bound passes 2^63 - 1 is computed by the
 same expressions on Python ints (object arrays) instead, so no value ever
 wraps.  The same rule sizes the basis keys and the scaled sums of a readout.
 
-Matrix entries are read out exactly: terms with equal targets are summed as
-integer arrays first, and only the nonzero entries of those sums are visited
-one by one.  The Dirac check quantizes each of the m^2 basis elements once
-per command; each of the m^4 pairs then costs one structure bracket, one
-quantize of the bracket, one commutator and the exact zero test.
+Every term also carries its net key shift: the change of the mixed-radix
+key sum_i k_i (l+1)^i from a column to its target, one Python int that is
+the same on every column of nonzero weight, since a term moves each monomial
+by one exponent vector.  Entries of terms with different shifts never share
+a (row, col), so matrix entries are read out exactly per (power, shift):
+each group of terms is summed as one integer array, the zero test is whether
+every such sum is zero, with no entry visited, and `matrix` reads each
+nonzero column of a sum as one entry.  The Dirac check quantizes each of the
+m^2 basis elements once per command; each of the m^4 pairs then costs one
+structure bracket, one quantize of the bracket, one commutator and the
+exact zero test.
 """
 from __future__ import annotations
 
@@ -108,73 +114,69 @@ def monomial_basis(m: int, l: int) -> MonomialBasis:
 class QuantumOperator:
     """Exact operator on a degree-l monomial basis, as a sum of terms.
 
-    A term ``(power, coeff, target, weight)`` is hbar^power coeff P, where the
-    weighted partial permutation P sends basis vector j to weight[j] times
-    basis vector target[j].  ``bound`` is a Python int with |weight| <= bound
-    in every term.  Each weight array is computed in int64 while the bound of
-    the operator it is made for is at most 2^63 - 1, and in Python ints
-    beyond, so none wraps.  Products of such P are again such P:
+    A term ``(power, coeff, target, weight, shift)`` is hbar^power coeff P,
+    where the weighted partial permutation P sends basis vector j to
+    weight[j] times basis vector target[j], and ``shift`` is a Python int
+    equal to keys[target[j]] - keys[j] on every column j with weight[j] != 0
+    (on zero-weight columns target is arbitrary).  ``bound`` is a Python int
+    with |weight| <= bound in every term.  Each weight array is computed in
+    int64 while the bound of the operator it is made for is at most
+    2^63 - 1, and in Python ints beyond, so none wraps.  Products of such P
+    are again such P:
     (P1 P2) e_j = weight2[j] weight1[target2[j]] e_{target1[target2[j]]},
-    so sums, scalar multiples and products need no per-entry arithmetic.
+    with shift1 + shift2, so sums, scalar multiples and products need no
+    per-entry arithmetic.
     """
 
     dim: int
     terms: tuple
     bound: int
 
-    def _sums(self, power: int) -> tuple[dict, dict, int]:
-        """The hbar^power part as integer numerators over a common
-        denominator: (re, im, den), re and im mapping (row, col) to a
-        Python int that may be 0.
-
-        Terms with equal targets are first summed as integer weight arrays,
-        real and imaginary parts apart, and only the nonzero columns of each
-        such sum are visited entry by entry.  A sum is bounded by the sum of
-        its scaled numerators' sizes times ``bound``, and computed in the
-        dtype that bound allows.
-        """
+    def _groups(self) -> dict:
+        """The terms keyed by (power, shift).  Two terms with different keys
+        never share an entry, so each group is summed on its own."""
         groups: dict = {}
-        den = 1
-        for p, c, t, w in self.terms:
-            if p == power:
-                ratio = c.as_gaussian_ratio()
-                den = lcm(den, ratio[2])
-                groups.setdefault(t.tobytes(), (t, []))[1].append((ratio, w))
-        re: dict = {}
-        im: dict = {}
-        for target, group in groups.values():
-            for part, out in enumerate((re, im)):
-                scales = [c[part] * (den // c[2]) for c, _ in group]
-                if not any(scales):
-                    continue
-                dtype = _ints(sum(map(abs, scales)) * self.bound)
-                total = np.array(scales, dtype=dtype) @ np.array([w for _, w in group], dtype=dtype)
-                cols = total.nonzero()[0]
-                if not cols.size:
-                    continue
-                rows = target[cols].tolist()
-                for rc, x in zip(zip(rows, cols.tolist()), total[cols].tolist()):
-                    out[rc] = out.get(rc, 0) + x
-        return re, im, den
+        for term in self.terms:
+            groups.setdefault((term[0], term[4]), []).append(term)
+        return groups
+
+    def _sum(self, group: list) -> tuple:
+        """(den, sums, weights) of one group: rows 0 and 1 of the integer
+        array ``sums`` hold the real and imaginary numerators, over den, of
+        each column's one entry, in the row that every term of nonzero
+        weight there targets; ``weights`` stacks the group's weights.
+
+        The sum is one integer matmul of the coefficients' numerators,
+        scaled to den, and the stacked weights.  It is bounded by the larger
+        part's sum of scaled numerator sizes times ``bound``, and computed
+        in the dtype that bound allows.
+        """
+        ratios = [term[1].as_gaussian_ratio() for term in group]
+        den = lcm(*(d for _, _, d in ratios))
+        parts = [[r[i] * (den // r[2]) for r in ratios] for i in (0, 1)]
+        dtype = _ints(max(sum(map(abs, part)) for part in parts) * self.bound)
+        weights = np.array([term[3] for term in group], dtype=dtype)
+        return den, np.array(parts, dtype=dtype) @ weights, weights
 
     def matrix(self, power: int) -> dict:
         """The hbar^power part as {(row, col): value}, exact zeros dropped."""
-        re, im, den = self._sums(power)
-        return {
-            rc: ComplexRational.from_gaussian_ratio(re.get(rc, 0), im.get(rc, 0), den)
-            for rc in {**re, **im}
-            if re.get(rc) or im.get(rc)
-        }
+        out = {}
+        for (p, _), group in self._groups().items():
+            if p != power:
+                continue
+            den, sums, weights = self._sum(group)
+            cols = (sums != 0).any(axis=0).nonzero()[0]
+            first = (weights[:, cols] != 0).argmax(axis=0)
+            rows = np.array([term[2] for term in group])[first, cols]
+            for r, c, a, b in zip(rows.tolist(), cols.tolist(), *sums[:, cols].tolist()):
+                out[r, c] = ComplexRational.from_gaussian_ratio(a, b, den)
+        return out
 
     @property
     def is_zero(self) -> bool:
-        """Whether every matrix(power) is empty, read off the integer sums
-        without building an entry."""
-        for power in {t[0] for t in self.terms}:
-            re, im, _ = self._sums(power)
-            if any(re.values()) or any(im.values()):
-                return False
-        return True
+        """Whether every matrix(power) is empty: whether every group's
+        integer sum is zero, with no entry visited."""
+        return not any(np.count_nonzero(self._sum(group)[1]) for group in self._groups().values())
 
     def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
         self._check(other)
@@ -185,11 +187,11 @@ class QuantumOperator:
 
     def __rmul__(self, scalar) -> "QuantumOperator":
         s = _coerce(scalar)
-        terms = tuple((p, s * c, t, w) for p, c, t, w in self.terms) if s else ()
+        terms = tuple((p, s * c, t, w, d) for p, c, t, w, d in self.terms) if s else ()
         return QuantumOperator(self.dim, terms, self.bound)
 
     def shift_hbar(self, by: int) -> "QuantumOperator":
-        terms = tuple((p + by, c, t, w) for p, c, t, w in self.terms)
+        terms = tuple((p + by, c, t, w, d) for p, c, t, w, d in self.terms)
         return QuantumOperator(self.dim, terms, self.bound)
 
     def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
@@ -199,9 +201,9 @@ class QuantumOperator:
         return QuantumOperator(
             self.dim,
             tuple(
-                (p1 + p2, c1 * c2, t1[t2], w2.astype(dtype, copy=False) * w1[t2])
-                for p1, c1, t1, w1 in self.terms
-                for p2, c2, t2, w2 in other.terms
+                (p1 + p2, c1 * c2, t1[t2], w2.astype(dtype, copy=False) * w1[t2], d1 + d2)
+                for p1, c1, t1, w1, d1 in self.terms
+                for p2, c2, t2, w2, d2 in other.terms
             ),
             bound,
         )
@@ -216,12 +218,12 @@ class QuantumOperator:
             self.dim,
             tuple(
                 term
-                for p1, c1, t1, w1 in self.terms
-                for p2, c2, t2, w2 in other.terms
-                for c in [c1 * c2]
+                for p1, c1, t1, w1, d1 in self.terms
+                for p2, c2, t2, w2, d2 in other.terms
+                for c, d in [(c1 * c2, d1 + d2)]
                 for term in (
-                    (p1 + p2, c, t1[t2], w2.astype(dtype, copy=False) * w1[t2]),
-                    (p1 + p2, -c, t2[t1], w1.astype(dtype, copy=False) * w2[t1]),
+                    (p1 + p2, c, t1[t2], w2.astype(dtype, copy=False) * w1[t2], d),
+                    (p1 + p2, -c, t2[t1], w1.astype(dtype, copy=False) * w2[t1], d),
                 )
             ),
             bound,
@@ -242,9 +244,11 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     b with c_bb = c, summed over those columns at once; the constant term is
     a multiple of the identity at hbar power 0.  Targets are found by binary
     search on the mixed-radix key sum_i k_i (l+1)^i, in which the graded
-    reverse-lex basis is ascending.  The weight bound is 2l + 1 for an
-    off-diagonal term, 2l + (number of columns) for a diagonal one and 1
-    for the constant; weights are computed in int64 while 2l + m fits.
+    reverse-lex basis is ascending; an off-diagonal term's net key shift is
+    place_values[a] - place_values[b], as a Python int, and every other
+    term's is 0.  The weight bound is 2l + 1 for an off-diagonal term,
+    2l + (number of columns) for a diagonal one and 1 for the constant;
+    weights are computed in int64 while 2l + m fits.
     """
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
@@ -254,7 +258,7 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     terms = []
     bounds = []
     if e.constant:
-        terms.append((0, e.constant, identity, np.ones(basis.size, dtype=np.int64)))
+        terms.append((0, e.constant, identity, np.ones(basis.size, dtype=np.int64), 0))
         bounds.append(1)
     diagonal: dict = {}
     for (a, b), c in e.terms.items():
@@ -262,11 +266,12 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
             diagonal.setdefault(c, []).append(a)
             continue
         kb = k[:, b]
-        moved = np.searchsorted(keys, keys + (radix[a] - radix[b]))
-        terms.append((1, c * _HALF, np.where(kb > 0, moved, identity), 2 * kb))
+        shift = int(radix[a] - radix[b])
+        moved = np.searchsorted(keys, keys + shift)
+        terms.append((1, c * _HALF, np.where(kb > 0, moved, identity), 2 * kb, shift))
         bounds.append(2 * l + 1)
     for c, cols in diagonal.items():
-        terms.append((1, c * _HALF, identity, 2 * k.take(cols, axis=1).sum(axis=1) + len(cols)))
+        terms.append((1, c * _HALF, identity, 2 * k.take(cols, axis=1).sum(axis=1) + len(cols), 0))
         bounds.append(2 * l + len(cols))
     return QuantumOperator(basis.size, tuple(terms), max(bounds, default=0))
 
@@ -282,7 +287,7 @@ def dirac_residual(
     multiplied by i and raised one power of hbar."""
     comm = q1.commutator(q2)
     comm._check(qb)
-    terms = comm.terms + tuple((p + 1, I * c, t, w) for p, c, t, w in qb.terms)
+    terms = comm.terms + tuple((p + 1, I * c, t, w, d) for p, c, t, w, d in qb.terms)
     return QuantumOperator(comm.dim, terms, max(comm.bound, qb.bound))
 
 

@@ -241,7 +241,7 @@ SHAPES = [(1, 3), (2, 3), (3, 2)]
 def reference_matrix(op, power):
     """op.matrix(power) by the per-entry loop: every column of every term,
     two dict updates per nonzero weight."""
-    terms = [(c.as_gaussian_ratio(), t, w) for p, c, t, w in op.terms if p == power]
+    terms = [(c.as_gaussian_ratio(), t, w) for p, c, t, w, _ in op.terms if p == power]
     den = lcm(*(d for (_, _, d), _, _ in terms))
     re: dict = {}
     im: dict = {}
@@ -293,7 +293,7 @@ class TestReadout:
     @given(data=st.data())
     def test_is_zero_matches_reference(self, m, l, data):
         # a Dirac residual is zero, often only once terms with different
-        # targets cancel entry by entry
+        # targets but one net key shift cancel
         e1, e2 = data.draw(elements(m)), data.draw(elements(m))
         residual = pair_residual(e1, e2, l)
         for op in (data.draw(operators(m, l)), residual):
@@ -302,12 +302,12 @@ class TestReadout:
 
     def test_commuting_products_cancel_across_targets(self):
         # N^{02'} and N^{12'} commute: their two products have equal weights
-        # but targets that differ on zero-weight columns, so they are summed
-        # apart and cancel entry by entry
+        # but targets that differ on zero-weight columns; they share one net
+        # key shift, so they cancel in one integer sum
         q02 = quantize(AlgebraElement.basis(3, 0, 2), 3)
         q12 = quantize(AlgebraElement.basis(3, 1, 2), 3)
-        ((_, _, t1, w1),) = (q02 @ q12).terms
-        ((_, _, t2, w2),) = (q12 @ q02).terms
+        ((_, _, t1, w1, _),) = (q02 @ q12).terms
+        ((_, _, t2, w2, _),) = (q12 @ q02).terms
         assert (w1 == w2).all() and (t1 != t2).any()
         op = q02 @ q12 - q12 @ q02
         for power in range(3):
@@ -319,7 +319,7 @@ class TestReadout:
         op = quantize(AlgebraElement.hamiltonian(m), l) - quantize(
             AlgebraElement(m, constant=Fraction(2 * l + m, 2)), l
         ).shift_hbar(1)
-        assert len({t.tobytes() for _, _, t, _ in op.terms}) == 1
+        assert len({t.tobytes() for _, _, t, _, _ in op.terms}) == 1
         for power in range(3):
             assert op.matrix(power) == reference_matrix(op, power) == {}
 
@@ -478,6 +478,57 @@ def pair_residual(e1, e2, l, bracket=structure_bracket):
 
 def negated_bracket(e1, e2):
     return (-1) * structure_bracket(e1, e2)
+
+
+def assert_shifts_match_keys(op, m, l):
+    """Each term's net key shift is a Python int equal to keys[target[j]] -
+    keys[j] on every column j of nonzero weight, with Python-int keys."""
+    keys = monomial_basis(m, l).keys.tolist()
+    for _, _, target, weight, shift in op.terms:
+        assert type(shift) is int
+        for col, (row, w) in enumerate(zip(target.tolist(), weight.tolist())):
+            if w:
+                assert keys[row] - keys[col] == shift
+
+
+class TestNetKeyShift:
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_shift_matches_keys_on_weighted_columns(self, m, l, data):
+        q1, q2 = data.draw(operators(m, l, depth=1)), data.draw(operators(m, l, depth=1))
+        e1, e2 = data.draw(elements(m)), data.draw(elements(m))
+        for op in (data.draw(operators(m, l)), q1.commutator(q2), pair_residual(e1, e2, l)):
+            assert_shifts_match_keys(op, m, l)
+
+    def test_shifts_past_int64_are_exact(self):
+        # m = 64, l = 1: the keys are 2^0 ... 2^63, so z^0 -> z^63 shifts
+        # by 2^63 - 1 and its square by 2^64 - 2, which int64 would wrap
+        m, l = 64, 1
+        e1, e2 = AlgebraElement.basis(m, 63, 0), AlgebraElement.basis(m, 0, 63)
+        q1, q2 = quantize(e1, l), quantize(e2, l)
+        assert [term[4] for term in q1.terms] == [2**63 - 1]
+        assert [term[4] for term in (q1 @ q1).terms] == [2**64 - 2]
+        residual = pair_residual(e1, e2, l)
+        for op in (q1, q2, q1 @ q1, q1 @ q2, q1.commutator(q2), residual):
+            assert_shifts_match_keys(op, m, l)
+        assert residual.is_zero
+
+    def test_basis_residuals_have_one_shift_per_power(self):
+        # A commutator's two products and the bracket's terms move each
+        # monomial alike, though about a third of the residuals at (4, 3)
+        # hold terms whose targets differ on zero-weight columns: each
+        # residual is one integer sum per power of hbar.
+        m, l = 4, 3
+        basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
+        quantized = [(e, quantize(e, l)) for e in basis]
+        split_targets = 0
+        for (e1, q1), (e2, q2) in itertools.product(quantized, repeat=2):
+            residual = dirac_residual(q1, q2, quantize(structure_bracket(e1, e2), l))
+            keys = {(p, shift) for p, _, _, _, shift in residual.terms}
+            assert len(keys) == len({p for p, _ in keys})
+            split_targets += len({t.tobytes() for _, _, t, _, _ in residual.terms}) > 1
+        assert split_targets > 0
 
 
 class TestDirac:
