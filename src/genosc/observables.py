@@ -134,14 +134,16 @@ def closed_form_field(p) -> TangentVector:
     return TangentVector(holo, anti)
 
 
-def preserves_polarization(f: ScalarField, params: OscillatorParams, p) -> float:
+def preserves_polarization(f: ScalarField, params: OscillatorParams, p) -> float | np.ndarray:
     """Residual of the test whether f preserves the antiholomorphic polarization.
 
     At points p (..., m), an array of points or a sequence of PhasePoints,
     the holomorphic components of X_f must be antiholomorphically constant;
     the residual is max over points, components and directions of
-    |dbar_b (X_f)^a_holo|, from one nested stencil over all the points.  An
-    array-valued f is tested entry by entry.
+    |dbar_b (X_f)^a_holo|, from one nested stencil over all the points.  A
+    scalar f gets a float; an array-valued f gets one residual per entry,
+    an array of f's value shape.
     """
     holo = lambda q: _holo_part(f, _metric(params, q)[1], q)
-    return float(np.max(np.abs(wirtinger(holo, p)[1])))
+    worst = np.max(np.abs(wirtinger(holo, p)[1]), axis=tuple(range(np.ndim(p) + 1)))
+    return float(worst) if worst.ndim == 0 else worst

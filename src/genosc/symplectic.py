@@ -43,6 +43,15 @@ def _holo_part(f: ScalarField, g_inv: np.ndarray, p) -> np.ndarray:
     return 1j * _contract(g_inv, wirtinger(f, p)[1], g_inv.ndim - 2)
 
 
+def _field(g_inv: np.ndarray, d: np.ndarray, dbar: np.ndarray) -> TangentVector:
+    """X_f from the inverse metric and the Wirtinger derivatives (d, dbar) of f:
+    holo[a] = i ginv[b][a] dbar_b f, anti[b] = -i ginv[b][a] d_a f."""
+    axis = g_inv.ndim - 2
+    return TangentVector(
+        1j * _contract(g_inv, dbar, axis), -1j * _contract(np.swapaxes(g_inv, -1, -2), d, axis)
+    )
+
+
 def hamiltonian_field(f: ScalarField, params: OscillatorParams, p) -> TangentVector:
     """Hamiltonian vector field of f at points p (..., m), from i_{X_f} Omega = -df.
 
@@ -51,19 +60,16 @@ def hamiltonian_field(f: ScalarField, params: OscillatorParams, p) -> TangentVec
     evaluation of f on the stencil.  For an array-valued f the components
     have shape (..., m, *f.shape): one field per entry of f.
     """
-    g_inv = _metric(params, p)[1]
-    d, dbar = wirtinger(f, p)
-    axis = g_inv.ndim - 2
-    return TangentVector(
-        1j * _contract(g_inv, dbar, axis), -1j * _contract(np.swapaxes(g_inv, -1, -2), d, axis)
-    )
+    return _field(_metric(params, p)[1], *wirtinger(f, p))
 
 
 def poisson_bracket(f: ScalarField, g: ScalarField, params: OscillatorParams, p) -> np.ndarray:
     """{f, g}(p) = X_f(g)(p) = X_f^a d_a g + Xbar_f^b dbar_b g
     = i ginv[b][a] (dbar_b f d_a g - d_a f dbar_b g), contracted on the
     coordinate axis: of shape f.shape + g.shape per point for array-valued f
-    and g.  g is evaluated once on the stencil for both kinds of derivative."""
-    X, axis = hamiltonian_field(f, params, p), np.ndim(p) - 1
-    d, dbar = wirtinger(g, p)
+    and g.  Each of f and g is evaluated once on the stencil for both kinds
+    of derivative, and only once in all when g is f."""
+    g_inv, df = _metric(params, p)[1], wirtinger(f, p)
+    d, dbar = df if g is f else wirtinger(g, p)
+    X, axis = _field(g_inv, *df), np.ndim(p) - 1
     return _contract(X.holo, d, axis) + _contract(X.anti, dbar, axis)

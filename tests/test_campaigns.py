@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genosc import OscillatorParams, sample_points
+from genosc import DomainError, OscillatorParams, PhasePoint, sample_points
 from genosc import campaigns, cli, geometry, observables, symplectic
 
 P2_CURVED = OscillatorParams(m=2, a=1.0)
@@ -68,7 +68,7 @@ def test_polarization_residuals_one_call_per_field_family(monkeypatch):
     points = sample_points(P2_CURVED, 3, seed=71)
     calls = counting(monkeypatch, "preserves_polarization")
     preserved, control = campaigns.polarization_residuals(P2_CURVED, points, poly_seed=3)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert preserved <= 1e-5 and control >= 1.0
 
 
@@ -88,14 +88,14 @@ def counting_geometry(monkeypatch, *names):
     return calls
 
 
-def test_one_verify_point_makes_9_wirtinger_and_2_metric_at_calls(monkeypatch, capsys):
-    # Each call gives both kinds of derivative: 1 for the field, 2 for the
-    # bracket (the field of N, then N differentiated along it), 2 for Ricci
-    # and 4 for polarization (2 field families, each nested once); the
-    # campaigns other than det and inverse take the metric from the kernel.
+def test_one_verify_point_makes_6_wirtinger_and_1_metric_at_calls(monkeypatch, capsys):
+    # Each call gives both kinds of derivative: 1 for the field, 1 for the
+    # bracket (the field of N and N differentiated along it share it), 2 for
+    # Ricci and 2 for polarization (one array of fields, nested once); the
+    # campaigns other than inverse take the metric from the kernel.
     calls = counting_geometry(monkeypatch, "wirtinger", "metric_at")
     assert cli.main(["verify", "--m", "2", "--a", "1", "--samples", "1", "--seed", "5"]) == 0
-    assert calls == {"wirtinger": 9, "metric_at": 2}
+    assert calls == {"wirtinger": 6, "metric_at": 1}
 
 
 def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
@@ -107,7 +107,54 @@ def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
         argv = ["verify", "--m", "2", "--a", "1", "--samples", samples, "--seed", "5"]
         assert cli.main(argv) == 0
         counts.append(calls["wirtinger"])
-    assert counts == [9, 9]
+    assert counts == [6, 6]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_largest_stencil_array_is_the_budgeted_one(monkeypatch, capsys, m):
+    # MAX_STENCIL_VALUES budgets 64 m^2 (m^2 + 4) values per point: the m^2 + 4
+    # polarization fields on the nested stencil.  Every field a wirtinger call
+    # differentiates is watched, the nested ones included.
+    sizes = []
+    original = geometry.wirtinger
+
+    def wirtinger(field, p):
+        def watched(z):
+            values = field(z)
+            sizes.append(np.size(values))
+            return values
+
+        return original(watched, p)
+
+    for module in (geometry, symplectic, observables, campaigns, cli):
+        if hasattr(module, "wirtinger"):
+            monkeypatch.setattr(module, "wirtinger", wirtinger)
+    assert cli.main(["verify", "--m", str(m), "--samples", "1"]) == 0
+    assert max(sizes) == 64 * m**2 * (m**2 + 4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("a", [0.0, 1.0, -1.0])
+def test_batched_det_equals_metric_at_bit_for_bit(m, a):
+    params = OscillatorParams(m=m, a=a)
+    points = sample_points(params, 7, seed=83)
+    per_point = max(abs(geometry.metric_at(params, p).det_g - 1.0) for p in points)
+    assert campaigns.det_residual(params, points) == per_point
+
+
+def test_batched_det_raises_as_metric_at_does_at_the_degeneration_radius():
+    points = sample_points(P2_CURVED, 3, seed=89)
+    points.insert(1, PhasePoint([1.0, 0.0]))  # r = |a|: r^m - a^m = 0
+    with pytest.raises(DomainError) as per_point:
+        geometry.metric_at(P2_CURVED, points[1])
+    with pytest.raises(DomainError) as batched:
+        campaigns.det_residual(P2_CURVED, points)
+    assert str(batched.value) == str(per_point.value)
+
+
+def test_det_residual_of_no_points_raises():
+    with pytest.raises(DomainError):
+        campaigns.det_residual(P2_CURVED, [])
 
 
 @pytest.mark.parametrize(

@@ -331,3 +331,19 @@ class TestPolarization:
             )
             got = preserves_polarization(f, params, samples)
             assert got == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [P2_CURVED, OscillatorParams(m=3, a=0.8)])
+    def test_array_field_gets_one_residual_per_entry(self, params):
+        m = params.m
+        samples = sample_points(params, 3, seed=53)
+        fields = [
+            as_field(AlgebraElement.basis(m, m - 1, 0), params),
+            lambda z: z[..., 0] ** 2 * z[..., m - 1] - 3j * z[..., 0],
+            lambda z: np.conj(z[..., 0]) ** 2,
+        ]
+        stacked = lambda z: np.stack([f(z) for f in fields], axis=-1)
+        got = preserves_polarization(stacked, params, samples)
+        assert got.shape == (3,)
+        for entry, f in zip(got, fields):
+            assert entry == pytest.approx(preserves_polarization(f, params, samples), rel=1e-12)
+        assert got[:2].max() <= 1e-5 and got[2] >= 1.0

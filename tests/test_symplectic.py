@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genosc import symplectic
 from genosc import (
     AlgebraElement,
     OscillatorParams,
@@ -137,6 +138,21 @@ class TestPoissonBracket:
             got = poisson_bracket(f, stacked, P2_CURVED, p)
             want = [poisson_bracket(f, g, P2_CURVED, p) for g in comps]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_self_bracket_differentiates_once(self, monkeypatch):
+        # {N, N} reuses N's derivatives for both slots; a distinct wrapper of
+        # the same function is differentiated twice, to the same bits.
+        N = lambda q: moment_map(P2_CURVED, q)
+        N2 = lambda q: N(q)
+        z = np.array(sample_points(P2_CURVED, 4, seed=47))
+        calls = []
+        counted = lambda f, p: calls.append(f) or wirtinger(f, p)
+        monkeypatch.setattr(symplectic, "wirtinger", counted)
+        same = poisson_bracket(N, N, P2_CURVED, z)
+        assert len(calls) == 1
+        distinct = poisson_bracket(N, N2, P2_CURVED, z)
+        assert len(calls) == 3
+        assert same.tobytes() == distinct.tobytes()
 
 
 class TestBatches:
