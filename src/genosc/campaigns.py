@@ -8,7 +8,7 @@ one (n, m) array in one kernel call; the caller bounds n.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +31,6 @@ from .quantization import monomial_basis
 from .symplectic import hamiltonian_field, poisson_bracket
 
 
-def max_over_points(
-    per_point: Callable[[PhasePoint], float], points: Sequence[PhasePoint]
-) -> float:
-    """Max of a per-point residual over the samples (0 when there are none)."""
-    return float(max((per_point(p) for p in points), default=0.0))
-
-
 def det_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max |det g - 1|, the Ricci-flatness witness, from the closed-form g of
     every point and one stacked determinant: per point, the det_g of
@@ -48,8 +41,8 @@ def det_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> floa
 
 def inverse_residual(params: OscillatorParams, points: Sequence[PhasePoint]) -> float:
     """max entrywise |closed-form inverse - direct numerical inverse|, as
-    metric_at measures it for its own cross-check."""
-    return max_over_points(lambda p: metric_at(params, p).inverse_deviation, points)
+    metric_at measures it for its own cross-check (0 when there are no points)."""
+    return float(max((metric_at(params, p).inverse_deviation for p in points), default=0.0))
 
 
 def _worst(deviation: np.ndarray) -> float:
@@ -128,6 +121,13 @@ def _polynomial(z, terms):
                 term = term * power
         total = total + term
     return total
+
+
+def stencil_values_per_point(m: int) -> int:
+    """Complex values in the largest array verify builds per point: the
+    nested polarization stencil, (8 m)^2 points, of each of the m^2 basis
+    fields, the POLARIZATION_POLYNOMIALS polynomials and the control."""
+    return 64 * m**2 * (m**2 + POLARIZATION_POLYNOMIALS + 1)
 
 
 def polarization_residuals(

@@ -1,12 +1,19 @@
 """Command-line verification campaigns with byte-reproducible JSON reports.
 
 Subcommands: verify | spectrum | dirac | eval.  Reports go to stdout as
-UTF-8 JSON with a fixed key order and floats rendered with 17 significant
+UTF-8 JSON that opens with schema_version, tool_version and the command that
+reproduces it, with a fixed key order and floats rendered with 17 significant
 digits; identical flags and seed produce byte-identical output.  Exit codes:
 0 pass, 1 verification failure, 2 usage error (malformed or non-finite input).
 The tolerances of the verify checks and the size limits of verify, dirac and
 spectrum are program constants, not flags: a pass is a pass at the stated
 tolerances.
+
+Each input rule is stated once: main checks the integer options against
+MINIMUMS and --a for finiteness before any subcommand runs, and every size
+limit goes through _check_limit before work starts.  verify's per-sample
+stencil budget is campaigns.stencil_values_per_point; an inverse beyond
+geometry.INVERSE_CONSISTENCY_TOL raises ConditioningError (exit 1, no report).
 """
 from __future__ import annotations
 
@@ -28,10 +35,18 @@ from .campaigns import (
     inverse_residual,
     polarization_residuals,
     ricci_residual,
+    stencil_values_per_point,
 )
 from .errors import GenoscError
 from .exact import ComplexRational
-from .geometry import OscillatorParams, PhasePoint, metric_at, radial_profile, sample_points
+from .geometry import (
+    INVERSE_CONSISTENCY_TOL,
+    OscillatorParams,
+    PhasePoint,
+    metric_at,
+    radial_profile,
+    sample_points,
+)
 from .observables import AlgebraElement, evaluate, moment_map
 from .quantization import dirac_nonzero, spectrum_of_H
 
@@ -39,7 +54,7 @@ SCHEMA_VERSION = 3
 
 TOLERANCES = {
     "det": 1e-10,
-    "inverse": 1e-8,
+    "inverse": INVERSE_CONSISTENCY_TOL,
     "field": 1e-7,
     "bracket": 1e-7,
     "ricci": 1e-5,
@@ -58,18 +73,18 @@ VERIFY_CHECKS = (
 )
 
 #: Most complex values one chunk of verify points may hold at once.  The
-#: largest array is the nested polarization stencil of the m^2 + 4 fields,
-#: 64 m^2 (m^2 + 4) values per point; peak RSS grew by about 80 bytes per
-#: value from m = 4 to m = 16 (CHANGES.md has the measurements), so this
-#: allows m <= 16, with one point per chunk there, and keeps a run under
-#: about 0.45 GB.
+#: largest array is the nested polarization stencil, stencil_values_per_point
+#: values per point; peak RSS grew by about 80 bytes per value from m = 4 to
+#: m = 16 (CHANGES.md has the measurements), so this allows m <= 16, with one
+#: point per chunk there, and keeps a run under about 0.45 GB.
 MAX_STENCIL_VALUES = 5_000_000
 
-#: Most stencil values a verify run evaluates, samples x 64 m^2 (m^2 + 4);
-#: checked before any point is drawn.  It allows the default 100 samples at
-#: every m verify allows.  At this limit, in one process on a 2-core x86-64
-#: VM with Python 3.11, verify --m 2 --a 1 --samples 244140 took 131 s at
-#: 328 MB peak RSS, and --m 16 --a 1 --samples 117 took 425 s at 211 MB.
+#: Most stencil values a verify run evaluates, samples x
+#: stencil_values_per_point; checked before any point is drawn.  It allows
+#: the default 100 samples at every m verify allows.  At this limit, in one
+#: process on a 2-core x86-64 VM with Python 3.11, verify --m 2 --a 1
+#: --samples 244140 took 131 s at 328 MB peak RSS, and --m 16 --a 1
+#: --samples 117 took 425 s at 211 MB.
 MAX_VERIFY_STENCIL_VALUES = 500_000_000
 
 #: Most basis pairs dirac checks: m^4 <= 4096 allows m <= 8.
@@ -94,6 +109,9 @@ MAX_BASIS_STATES = 10_000
 #: 1.7-2.1 s at 312 MB peak RSS, --m 1182 --lmax 1 0.18 s at 61 MB and
 #: --m 139 --lmax 2 0.16 s at 61 MB.
 MAX_SPECTRUM_ENTRIES = 1_400_000
+
+#: Least value of each integer option, checked for every subcommand that has it.
+MINIMUMS = {"m": 1, "samples": 1, "seed": 0, "l": 0, "lmax": 0}
 
 
 def _render_json(obj) -> str:
@@ -124,11 +142,24 @@ def _emit(report: dict):
     sys.stdout.write(_render_json(report) + "\n")
 
 
-def _params(args, parser) -> OscillatorParams:
-    """OscillatorParams from --m and --a; a non-finite --a is a usage error."""
-    if not math.isfinite(args.a):
-        parser.error(f"--a must be finite, got {args.a}")
-    return OscillatorParams(m=args.m, a=args.a)
+def _report(command: str, **fields) -> dict:
+    """A report: the schema and tool versions and the command, then fields."""
+    head = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, "command": command}
+    return head | fields
+
+
+def _verdict(report: dict, checks: list[tuple[str, bool, str]]) -> int:
+    """Print the report with its (name, pass, detail) checks and their overall
+    pass; exit code 0 if every check passed, else 1."""
+    report["checks"] = [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks]
+    report["pass"] = all(ok for _, ok, _ in checks)
+    _emit(report)
+    return 0 if report["pass"] else 1
+
+
+def _check_limit(count: int, unit: str, limit: int, what: str, parser):
+    if count > limit:
+        parser.error(f"{what} has {count} {unit}, over the limit of {limit}")
 
 
 def _a_option(a: float) -> str:
@@ -140,22 +171,13 @@ def _a_option(a: float) -> str:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.m < 1:
-        parser.error("--m must be >= 1")
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
-    stencil_values = 64 * args.m**2 * (args.m**2 + 4)
-    if stencil_values > MAX_STENCIL_VALUES:
-        parser.error(
-            f"--m {args.m} needs {stencil_values} stencil values per sample,"
-            f" over the limit of {MAX_STENCIL_VALUES}"
-        )
+    per_sample = stencil_values_per_point(args.m)
+    unit = "stencil values per sample"
+    _check_limit(per_sample, unit, MAX_STENCIL_VALUES, f"--m {args.m}", parser)
     what = f"--m {args.m} --samples {args.samples}"
-    total = args.samples * stencil_values
+    total = args.samples * per_sample
     _check_limit(total, "stencil values", MAX_VERIFY_STENCIL_VALUES, what, parser)
-    params = _params(args, parser)
+    params = OscillatorParams(m=args.m, a=args.a)
     # Points have r ~ max(1, |a|): a large |a| or m overflows a^m, r^m or a
     # product inside the metric, which raises under errstate.
     try:
@@ -163,7 +185,7 @@ def _cmd_verify(args, parser) -> int:
             points = sample_points(params, args.samples, args.seed)
             # Each campaign runs once per chunk of points; a residual is the
             # max over the chunks.
-            size = max(1, MAX_STENCIL_VALUES // stencil_values)
+            size = max(1, MAX_STENCIL_VALUES // per_sample)
             chunks = [points[i : i + size] for i in range(0, len(points), size)]
             worst = lambda campaign: max(campaign(params, chunk) for chunk in chunks)
             residuals = {
@@ -185,52 +207,21 @@ def _cmd_verify(args, parser) -> int:
     checks = []
     for name, key in VERIFY_CHECKS:
         res, tol = residuals[key], TOLERANCES[key]
-        checks.append(
-            {
-                "name": name,
-                "pass": res <= tol,
-                "detail": f"max residual {res:.3e}, tolerance {tol:.3e}",
-            }
-        )
-    ok_control = control >= 1.0
-    checks.append(
-        {
-            "name": "polarization_negative_control",
-            "pass": ok_control,
-            "detail": f"expected-fail control (zbar^1)^2: residual {control:.3e}, required >= 1",
-        }
+        checks.append((name, res <= tol, f"max residual {res:.3e}, tolerance {tol:.3e}"))
+    detail = f"expected-fail control (zbar^1)^2: residual {control:.3e}, required >= 1"
+    checks.append(("polarization_negative_control", control >= 1.0, detail))
+    report = _report(
+        f"verify --m {args.m} {_a_option(args.a)} --samples {args.samples} --seed {args.seed}",
+        params={"m": args.m, "a": args.a},
+        seed=args.seed,
+        n_samples=args.samples,
+        tolerances=TOLERANCES,
+        residuals=residuals,
     )
-
-    overall = all(c["pass"] for c in checks)
-    command = (
-        f"verify --m {args.m} {_a_option(args.a)} --samples {args.samples} --seed {args.seed}"
-    )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": command,
-        "params": {"m": args.m, "a": args.a},
-        "seed": args.seed,
-        "n_samples": args.samples,
-        "tolerances": TOLERANCES,
-        "residuals": residuals,
-        "checks": checks,
-        "pass": overall,
-    }
-    _emit(report)
-    return 0 if overall else 1
-
-
-def _check_limit(count: int, unit: str, limit: int, what: str, parser):
-    if count > limit:
-        parser.error(f"{what} has {count} {unit}, over the limit of {limit}")
+    return _verdict(report, checks)
 
 
 def _cmd_spectrum(args, parser) -> int:
-    if args.m < 1:
-        parser.error("--m must be >= 1")
-    if args.lmax < 0:
-        parser.error("--lmax must be >= 0")
     what = f"--m {args.m} --lmax {args.lmax}"
     # math.comb's time grows with k = min(m, lmax) (35 s at k = 10^6), and
     # C(lmax+m, m) >= C(2k, k) >= 2^k: such inputs are refused uncounted.
@@ -240,64 +231,34 @@ def _cmd_spectrum(args, parser) -> int:
     _check_limit(states, "basis states", MAX_BASIS_STATES, what, parser)
     _check_limit(args.m * states, "exponent entries", MAX_SPECTRUM_ENTRIES, what, parser)
     params = OscillatorParams(m=args.m)
-    rows = []
-    for l in range(args.lmax + 1):
-        line = spectrum_of_H(params, l)
-        rows.append(
-            {
-                "l": line.l,
-                "eigenvalue": line.eigenvalue,
-                "eigenvalue_float": float(line.eigenvalue),
-                "multiplicity": line.multiplicity,
-            }
-        )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": f"spectrum --m {args.m} --lmax {args.lmax}",
-        "m": args.m,
-        "lmax": args.lmax,
-        "eigenvalue_unit": "hbar",
-        "rows": rows,
-    }
-    _emit(report)
+    rows = [
+        {
+            "l": line.l,
+            "eigenvalue": line.eigenvalue,
+            "eigenvalue_float": float(line.eigenvalue),
+            "multiplicity": line.multiplicity,
+        }
+        for line in (spectrum_of_H(params, l) for l in range(args.lmax + 1))
+    ]
+    _emit(_report(f"spectrum {what}", m=args.m, lmax=args.lmax, eigenvalue_unit="hbar", rows=rows))
     return 0
 
 
 def _cmd_dirac(args, parser) -> int:
-    if args.m < 1:
-        parser.error("--m must be >= 1")
-    if args.l < 0:
-        parser.error("--l must be >= 0")
     n_pairs = args.m**4
     _check_limit(n_pairs, "basis pairs", MAX_DIRAC_PAIRS, f"--m {args.m}", parser)
     states = math.comb(args.l + args.m - 1, args.m - 1)
     _check_limit(states, "basis states", MAX_BASIS_STATES, f"--m {args.m} --l {args.l}", parser)
     nonzero = dirac_nonzero(args.m, args.l)
-    ok = nonzero == 0
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": f"dirac --m {args.m} --l {args.l}",
-        "m": args.m,
-        "l": args.l,
-        "pairs_checked": n_pairs,
-        "nonzero_residuals": nonzero,
-        "checks": [
-            {
-                "name": "dirac_condition_exact",
-                "pass": ok,
-                "detail": f"{n_pairs} pairs checked, {nonzero} nonzero residuals",
-            }
-        ],
-        "pass": ok,
-    }
-    _emit(report)
-    return 0 if ok else 1
-
-
-def _parse_pairs(data) -> list[complex]:
-    return [complex(re, im) for re, im in data]
+    report = _report(
+        f"dirac --m {args.m} --l {args.l}",
+        m=args.m,
+        l=args.l,
+        pairs_checked=n_pairs,
+        nonzero_residuals=nonzero,
+    )
+    detail = f"{n_pairs} pairs checked, {nonzero} nonzero residuals"
+    return _verdict(report, [("dirac_condition_exact", nonzero == 0, detail)])
 
 
 def _rational(x) -> ComplexRational:
@@ -319,25 +280,20 @@ def _parse_element(text: str, parser) -> AlgebraElement:
 
 
 def _cmd_eval(args, parser) -> int:
-    if args.m < 1:
-        parser.error("--m must be >= 1")
-    params = _params(args, parser)
+    params = OscillatorParams(m=args.m, a=args.a)
     element = None if args.metric else _parse_element(args.element, parser)
     try:
-        data = json.load(sys.stdin)
-        point = PhasePoint(_parse_pairs(data))
+        point = PhasePoint([complex(re, im) for re, im in json.load(sys.stdin)])
     except (ValueError, TypeError) as exc:
         parser.error(f"expected a JSON array of [re, im] pairs on stdin: {exc}")
     if not (all(map(cmath.isfinite, point.z)) and math.isfinite(point.r)):
         parser.error(f"the point's coordinates and r must be finite, got r = {point.r}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": f"eval --m {args.m} {_a_option(args.a)} "
-        + ("--metric" if args.metric else f"--element {shlex.quote(args.element)}"),
-        "point": [[c.real, c.imag] for c in point.z],
-        "r": point.r,
-    }
+    mode = "--metric" if args.metric else f"--element {shlex.quote(args.element)}"
+    report = _report(
+        f"eval --m {args.m} {_a_option(args.a)} {mode}",
+        point=[[c.real, c.imag] for c in point.z],
+        r=point.r,
+    )
     # numpy overflow raises here as in verify, rather than turning values into inf.
     try:
         with np.errstate(over="raise"):
@@ -417,6 +373,11 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    for name, least in MINIMUMS.items():
+        if getattr(args, name, least) < least:
+            _PARSER.error(f"--{name} must be >= {least}")
+    if not math.isfinite(getattr(args, "a", 0.0)):
+        _PARSER.error(f"--a must be finite, got {args.a}")
     try:
         return args.func(args, _PARSER)
     except GenoscError as exc:

@@ -58,19 +58,12 @@ class AlgebraElement:
         h._fill(m, {(a, a): ONE for a in range(m)}, ZERO)
         return h
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.constant and not self.terms
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, ZERO) + c
         return AlgebraElement(self.m, terms, self.constant + other.constant)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         s = _coerce(scalar)

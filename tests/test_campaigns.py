@@ -112,9 +112,9 @@ def test_wirtinger_calls_do_not_grow_with_the_samples(monkeypatch, capsys):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_largest_stencil_array_is_the_budgeted_one(monkeypatch, capsys, m):
-    # MAX_STENCIL_VALUES budgets 64 m^2 (m^2 + 4) values per point: the m^2 + 4
-    # polarization fields on the nested stencil.  Every field a wirtinger call
-    # differentiates is watched, the nested ones included.
+    # campaigns.stencil_values_per_point budgets 64 m^2 (m^2 + 4) values per
+    # point: the m^2 + 4 polarization fields on the nested stencil.  Every field
+    # a wirtinger call differentiates is watched, the nested ones included.
     sizes = []
     original = geometry.wirtinger
 
@@ -130,7 +130,7 @@ def test_largest_stencil_array_is_the_budgeted_one(monkeypatch, capsys, m):
         if hasattr(module, "wirtinger"):
             monkeypatch.setattr(module, "wirtinger", wirtinger)
     assert cli.main(["verify", "--m", str(m), "--samples", "1"]) == 0
-    assert max(sizes) == 64 * m**2 * (m**2 + 4)
+    assert max(sizes) == 64 * m**2 * (m**2 + 4) == campaigns.stencil_values_per_point(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])

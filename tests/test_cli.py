@@ -55,6 +55,18 @@ class TestVerify:
             ("ricci", 1e-5),
             ("polarization", 1e-5),
         ]
+        assert list(report) == [
+            "schema_version",
+            "tool_version",
+            "command",
+            "params",
+            "seed",
+            "n_samples",
+            "tolerances",
+            "residuals",
+            "checks",
+            "pass",
+        ]
 
     def test_curved_pass(self, capsys):
         code, out, _ = run(
@@ -83,6 +95,25 @@ class TestVerify:
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert failed == ["det", "ricci", "hamiltonian_field_closed_form", "polarization"]
 
+    def test_inverse_disagreement_exits_1_without_a_report(self, capsys, monkeypatch):
+        # s' scaled by 1.001 breaks the closed-form inverse, not the direct one.
+        radial_profile = genosc.geometry.radial_profile
+
+        def wrong_profile(params, r):
+            prof = radial_profile(params, r)
+            return dataclasses.replace(prof, s_prime=1.001 * prof.s_prime)
+
+        monkeypatch.setattr(genosc.geometry, "radial_profile", wrong_profile)
+        code, out, err = run(
+            capsys, "verify", "--m", "2", "--a", "1", "--samples", "3", "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "error: ConditioningError: closed-form and direct inverse disagree by 5.170e-04"
+            " at z ="
+        )
+
     def test_byte_reproducibility(self, capsys):
         args = ("verify", "--m", "2", "--a", "1", "--samples", "15", "--seed", "7")
         _, first, _ = run(capsys, *args)
@@ -106,21 +137,34 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "extra",
+        # (argv, message); the first seven extend a verify command line.
         [
-            ["--hbar", "abc"],
-            ["--hbar", "0"],
-            ["--hbar", "1/0"],
-            ["--a", "nan"],
-            ["--a", "inf"],
-            ["--samples", "0"],
-            ["--seed", "-1"],
+            (["--hbar", "abc"], "unrecognized arguments: --hbar abc"),
+            (["--hbar", "0"], "unrecognized arguments: --hbar 0"),
+            (["--hbar", "1/0"], "unrecognized arguments: --hbar 1/0"),
+            (["--a", "nan"], "--a must be finite, got nan"),
+            (["--a", "inf"], "--a must be finite, got inf"),
+            (["--samples", "0"], "--samples must be >= 1"),
+            (["--seed", "-1"], "--seed must be >= 0"),
+            (["verify", "--m", "0"], "--m must be >= 1"),
+            (["spectrum", "--m", "0", "--lmax", "1"], "--m must be >= 1"),
+            (["dirac", "--m", "0", "--l", "1"], "--m must be >= 1"),
+            (["eval", "--m", "0", "--metric"], "--m must be >= 1"),
+            (["dirac", "--m", "2", "--l", "-1"], "--l must be >= 0"),
+            (["spectrum", "--m", "2", "--lmax", "-1"], "--lmax must be >= 0"),
+            (["eval", "--m", "2", "--a", "inf", "--metric"], "--a must be finite, got inf"),
         ],
     )
     def test_bad_params_exit_2(self, capsys, extra):
+        argv, message = extra
+        if argv[0].startswith("--"):
+            argv = ["verify", "--m", "2", "--samples", "1", *argv]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", "2", "--samples", "1", *extra])
+            main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"\ngenosc: error: {message}\n")
 
     def test_params_are_m_and_a(self, capsys):
         _, out, _ = run(capsys, "verify", "--m", "2", "--a", "0.5", "--samples", "1")
@@ -295,6 +339,18 @@ class TestSpectrum:
             {"l": 0, "eigenvalue": "2", "eigenvalue_float": 2, "multiplicity": 1}
         ]
 
+    def test_report_bytes(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--m", "3", "--lmax", "3")
+        assert code == 0
+        assert out == (
+            '{"schema_version": 3, "tool_version": "0.1.0", "command": "spectrum --m 3 --lmax 3",'
+            ' "m": 3, "lmax": 3, "eigenvalue_unit": "hbar", "rows": ['
+            '{"l": 0, "eigenvalue": "3/2", "eigenvalue_float": 1.5, "multiplicity": 1}, '
+            '{"l": 1, "eigenvalue": "5/2", "eigenvalue_float": 2.5, "multiplicity": 3}, '
+            '{"l": 2, "eigenvalue": "7/2", "eigenvalue_float": 3.5, "multiplicity": 6}, '
+            '{"l": 3, "eigenvalue": "9/2", "eigenvalue_float": 4.5, "multiplicity": 10}]}\n'
+        )
+
     def test_negative_lmax_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--m", "2", "--lmax", "-1"])
@@ -387,6 +443,16 @@ class TestDirac:
         report = json.loads(out)
         assert report["pairs_checked"] == 16
         assert report["nonzero_residuals"] == 0
+
+    def test_report_bytes(self, capsys):
+        code, out, _ = run(capsys, "dirac", "--m", "2", "--l", "2")
+        assert code == 0
+        assert out == (
+            '{"schema_version": 3, "tool_version": "0.1.0", "command": "dirac --m 2 --l 2",'
+            ' "m": 2, "l": 2, "pairs_checked": 16, "nonzero_residuals": 0, "checks": ['
+            '{"name": "dirac_condition_exact", "pass": true,'
+            ' "detail": "16 pairs checked, 0 nonzero residuals"}], "pass": true}\n'
+        )
 
     def test_m1_trivial(self, capsys):
         code, out, _ = run(capsys, "dirac", "--m", "1", "--l", "0")
@@ -497,6 +563,17 @@ class TestEval:
         report = json.loads(out)
         assert report["det_g"] == pytest.approx(1.0)
         assert report["g"][0][1][0] == pytest.approx(0.14433756729740646)
+        assert list(report) == [
+            "schema_version",
+            "tool_version",
+            "command",
+            "point",
+            "r",
+            "profile",
+            "g",
+            "g_inv",
+            "det_g",
+        ]
 
     def test_element(self, capsys, monkeypatch):
         import io
