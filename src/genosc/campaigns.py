@@ -84,8 +84,9 @@ POLARIZATION_POLYNOMIALS = 3
 POLYNOMIAL_MAX_DEGREE = 3
 
 
-def random_holomorphic_polynomials(m: int, count: int, seed: int):
-    """Deterministic holomorphic polynomial fields for polarization tests.
+def random_holomorphic_polynomials(m: int, seed: int):
+    """POLARIZATION_POLYNOMIALS deterministic holomorphic polynomial fields
+    for the polarization check.
 
     Each of a polynomial's three terms takes an exponent vector drawn
     uniformly from those of degree <= POLYNOMIAL_MAX_DEGREE, one index per
@@ -95,7 +96,7 @@ def random_holomorphic_polynomials(m: int, count: int, seed: int):
         k for l in range(POLYNOMIAL_MAX_DEGREE + 1) for k in monomial_basis(m, l).indices
     ]
     polys = []
-    for _ in range(count):
+    for _ in range(POLARIZATION_POLYNOMIALS):
         terms = {}
         for _ in range(3):
             k = exponents[rng.integers(len(exponents))]
@@ -137,7 +138,7 @@ def polarization_residuals(
     residual).  Preserving fields: every N^{ab'} plus seeded random
     holomorphic polynomials; the control is (zbar^1)^2, which must fail.
     All m^2 + 4 fields are tested as one array field, the control last."""
-    polys = random_holomorphic_polynomials(params.m, POLARIZATION_POLYNOMIALS, poly_seed)
+    polys = random_holomorphic_polynomials(params.m, poly_seed)
     fields = lambda z: np.concatenate(
         [
             moment_map(params, z).reshape(z.shape[:-1] + (-1,)),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import shlex
@@ -230,7 +231,6 @@ def _cmd_spectrum(args, parser) -> int:
     states = math.comb(args.lmax + args.m, args.m)
     _check_limit(states, "basis states", MAX_BASIS_STATES, what, parser)
     _check_limit(args.m * states, "exponent entries", MAX_SPECTRUM_ENTRIES, what, parser)
-    params = OscillatorParams(m=args.m)
     rows = [
         {
             "l": line.l,
@@ -238,7 +238,7 @@ def _cmd_spectrum(args, parser) -> int:
             "eigenvalue_float": float(line.eigenvalue),
             "multiplicity": line.multiplicity,
         }
-        for line in (spectrum_of_H(params, l) for l in range(args.lmax + 1))
+        for line in (spectrum_of_H(args.m, l) for l in range(args.lmax + 1))
     ]
     _emit(_report(f"spectrum {what}", m=args.m, lmax=args.lmax, eigenvalue_unit="hbar", rows=rows))
     return 0
@@ -262,52 +262,71 @@ def _cmd_dirac(args, parser) -> int:
 
 
 def _rational(x) -> ComplexRational:
+    # A two-character string or two-key object would unpack as a pair too.
+    if type(x) is not list or len(x) != 2:
+        raise ValueError(f"a coefficient must be an [re, im] pair, got {type(x).__name__}")
     re, im = x
     return ComplexRational(Fraction(str(re)), Fraction(str(im)))
 
 
-def _parse_element(text: str, parser) -> AlgebraElement:
-    """The --element JSON as an AlgebraElement; a malformed one is a usage error."""
+def _parse_element(args, parser) -> AlgebraElement:
+    """The --element JSON as an AlgebraElement over --m; a malformed one, or
+    one whose coeff is not --m x --m, is a usage error."""
     try:
-        spec = json.loads(text)
+        spec = json.loads(args.element)
         rows = [[_rational(c) for c in row] for row in spec["coeff"]]
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("coefficient matrix must be square")
+        if len(rows) != args.m or any(len(row) != args.m for row in rows):
+            raise ValueError(f"coefficient matrix must be {args.m} x {args.m}")
         terms = {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}
-        return AlgebraElement(len(rows), terms, _rational(spec.get("constant", [0, 0])))
-    except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
+        return AlgebraElement(args.m, terms, _rational(spec.get("constant", [0, 0])))
+    except (
+        ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError, RecursionError
+    ) as exc:
         parser.error(f"malformed --element: {type(exc).__name__}: {exc}")
+
+
+def _pairs(values) -> list:
+    """Complex values as [re, im] pairs of floats, nested as the values are."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _cmd_eval(args, parser) -> int:
     params = OscillatorParams(m=args.m, a=args.a)
-    element = None if args.metric else _parse_element(args.element, parser)
+    element = None if args.metric else _parse_element(args, parser)
+    # The point is --m pairs of JSON numbers; a bool is not one, though
+    # complex() would take it.
     try:
-        point = PhasePoint([complex(re, im) for re, im in json.load(sys.stdin)])
-    except (ValueError, TypeError) as exc:
+        pairs = json.load(sys.stdin)
+        if not (
+            type(pairs) is list
+            and len(pairs) == args.m
+            and all(type(p) is list and len(p) == 2 for p in pairs)
+            and all(type(x) in (int, float) for p in pairs for x in p)
+        ):
+            raise ValueError(f"need {args.m} pairs of JSON numbers, one per coordinate")
+        point = PhasePoint([complex(re, im) for re, im in pairs])
+    except (ValueError, OverflowError, RecursionError) as exc:
         parser.error(f"expected a JSON array of [re, im] pairs on stdin: {exc}")
     if not (all(map(cmath.isfinite, point.z)) and math.isfinite(point.r)):
         parser.error(f"the point's coordinates and r must be finite, got r = {point.r}")
     mode = "--metric" if args.metric else f"--element {shlex.quote(args.element)}"
     report = _report(
         f"eval --m {args.m} {_a_option(args.a)} {mode}",
-        point=[[c.real, c.imag] for c in point.z],
+        point=_pairs(point.z),
         r=point.r,
     )
-    # numpy overflow raises here as in verify, rather than turning values into inf.
+    # numpy overflow raises here as in verify, rather than turning values into
+    # inf.  At a point so near 0 that r^2 s^(m-1) underflows, u'' is 0/0 or
+    # x/0: metric_at then raises ConditioningError, and moment_map never reads u''.
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             if args.metric:
                 md = metric_at(params, point)
                 prof = radial_profile(params, point.r)
-                report["profile"] = {
-                    "u_prime": prof.u_prime,
-                    "u_double_prime": prof.u_double_prime,
-                    "s": prof.s,
-                    "s_prime": prof.s_prime,
-                }
-                report["g"] = [[[v.real, v.imag] for v in row] for row in md.g]
-                report["g_inv"] = [[[v.real, v.imag] for v in row] for row in md.g_inv]
+                report["profile"] = dataclasses.asdict(prof)
+                report["g"] = _pairs(md.g)
+                report["g_inv"] = _pairs(md.g_inv)
                 report["det_g"] = md.det_g
             else:
                 N = moment_map(params, point)
@@ -315,7 +334,7 @@ def _cmd_eval(args, parser) -> int:
                     value = evaluate(element, N)
                 except (OverflowError, FloatingPointError):
                     parser.error(f"the --element value at r = {point.r:g} overflows a float")
-                report["value"] = [value.real, value.imag]
+                report["value"] = _pairs(value)
     except GenoscError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(report)

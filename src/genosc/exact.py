@@ -61,34 +61,26 @@ class ComplexRational:
         return Fraction(self._b, self._d)
 
     def __add__(self, other) -> "ComplexRational":
-        if type(other) is not ComplexRational:
-            try:
-                other = _coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not ComplexRational and (other := _operand(other)) is None:
+            return NotImplemented
         d, f = self._d, other._d
         return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexRational":
-        if type(other) is not ComplexRational:
-            try:
-                other = _coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not ComplexRational and (other := _operand(other)) is None:
+            return NotImplemented
         d, f = self._d, other._d
         return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other) -> "ComplexRational":
-        return _coerce(other) - self
+        # other - self as -self + other, under __add__'s operand rule.
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "ComplexRational":
-        if type(other) is not ComplexRational:
-            try:
-                other = _coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not ComplexRational and (other := _operand(other)) is None:
+            return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -147,6 +139,15 @@ def _coerce(x) -> ComplexRational:
         return _make(x, 0, 1)
     q = _frac(x)
     return _make(q.numerator, 0, q.denominator)
+
+
+def _operand(x) -> ComplexRational | None:
+    """The other operand of + - x as a ComplexRational, or None if it is not
+    an exact rational number, for which the operator returns NotImplemented."""
+    try:
+        return _coerce(x)
+    except TypeError:
+        return None
 
 
 ZERO = ComplexRational()

@@ -143,8 +143,9 @@ def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
 
     The integer powers a^m, r^m, r^2 and s^(m-1) are float products and the
     root s = (r^m - a^m)^(1/m) is one _pow call.  Raises DomainError if any r
-    is at or below the degeneration radius r^m = a^m, and FloatingPointError
-    if a power overflows a float.
+    is at or below 0 or the degeneration radius r^m = a^m, naming the first
+    such r and which bound it breaks, and FloatingPointError if a power
+    overflows a float.
     """
     m = params.m
     r = np.asarray(r, dtype=float)
@@ -154,7 +155,10 @@ def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
         bad = (r <= 0) | (dom <= 0)
         if np.count_nonzero(bad):
             i = np.argmax(bad)
-            raise DomainError(f"r^m - a^m = {np.ravel(dom)[i]:g} <= 0 at r = {np.ravel(r)[i]:g}")
+            r_i, dom_i = np.ravel(r)[i], np.ravel(dom)[i]
+            if r_i <= 0:
+                raise DomainError(f"r = {r_i:g} <= 0")
+            raise DomainError(f"r^m - a^m = {dom_i:g} <= 0 at r = {r_i:g}")
         s = _pow(dom, 1.0 / m)
         u_prime = s / r
         u_double_prime = a_m / (r * r * _power(s, m - 1))
@@ -189,9 +193,15 @@ def _metric(params: OscillatorParams, p) -> tuple[np.ndarray, np.ndarray, np.nda
     g, z, outer, prof = _metric_parts(params, p)
     # Sherman-Morrison form of the inverse; satisfies g @ g_inv = I.
     g_inv = (np.eye(params.m) - (prof.u_double_prime / prof.s_prime) * outer) / prof.u_prime
-    deviation = np.max(np.abs(g_inv - np.linalg.inv(g)), axis=(-2, -1))
+    try:
+        direct = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        # Cancellation in u' + r u'' near r = 0 can leave an exactly singular g.
+        raise ConditioningError("the closed-form metric is singular in floats") from None
+    deviation = np.max(np.abs(g_inv - direct), axis=(-2, -1))
     worst = np.argmax(deviation)
-    if np.ravel(deviation)[worst] > INVERSE_CONSISTENCY_TOL:
+    # Written so that a nan deviation fails too; argmax finds the first nan.
+    if not np.ravel(deviation)[worst] <= INVERSE_CONSISTENCY_TOL:
         raise ConditioningError(
             f"closed-form and direct inverse disagree by {np.ravel(deviation)[worst]:.3e}"
             f" at z = {z.reshape(-1, params.m)[worst]}"

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .exact import I, ONE, ComplexRational, ZERO, _coerce
-from .geometry import OscillatorParams, ScalarField, _metric, _profile, wirtinger
-from .symplectic import TangentVector, _holo_part
+from .geometry import OscillatorParams, ScalarField, _profile, wirtinger
+from .symplectic import TangentVector, hamiltonian_field
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,6 @@ def preserves_polarization(f: ScalarField, params: OscillatorParams, p) -> float
     scalar f gets a float; an array-valued f gets one residual per entry,
     an array of f's value shape.
     """
-    holo = lambda q: _holo_part(f, _metric(params, q)[1], q)
+    holo = lambda q: hamiltonian_field(f, params, q).holo
     worst = np.max(np.abs(wirtinger(holo, p)[1]), axis=tuple(range(np.ndim(p) + 1)))
     return float(worst) if worst.ndim == 0 else worst

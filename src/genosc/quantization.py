@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, GenoscError
 from .exact import I, ComplexRational, _coerce
-from .geometry import OscillatorParams
 from .observables import AlgebraElement, structure_bracket
 
 _HALF = ComplexRational(Fraction(1, 2))
@@ -250,8 +249,6 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     2l + (number of columns) for a diagonal one and 1 for the constant;
     weights are computed in int64 while 2l + m fits.
     """
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
     basis = monomial_basis(e.m, l)
     radix, keys, identity = basis.place_values, basis.keys, basis.identity
     k = basis.exponents.astype(_ints(2 * l + e.m), copy=False)
@@ -313,11 +310,10 @@ class SpectralLine:
     multiplicity: int
 
 
-def spectrum_of_H(params: OscillatorParams, l: int) -> SpectralLine:
-    """Verify that Q(H) is exactly (l + m/2) hbar x identity on degree l, by
-    the exact zero test of Q(H) - hbar Q(l + m/2) at every power of hbar;
-    returns the eigenvalue and multiplicity."""
-    m = params.m
+def spectrum_of_H(m: int, l: int) -> SpectralLine:
+    """Verify that Q(H) is exactly (l + m/2) hbar x identity on degree l in m
+    coordinates, by the exact zero test of Q(H) - hbar Q(l + m/2) at every
+    power of hbar; returns the eigenvalue and multiplicity."""
     eigenvalue = Fraction(2 * l + m, 2)
     op = quantize(AlgebraElement.hamiltonian(m), l)
     shift = quantize(AlgebraElement(m, constant=-eigenvalue), l).shift_hbar(1)

@@ -37,12 +37,6 @@ def _contract(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(batch + x.shape[axis + 1 :] + y.shape[axis + 1 :])
 
 
-def _holo_part(f: ScalarField, g_inv: np.ndarray, p) -> np.ndarray:
-    """The holomorphic components holo[a] = i ginv[b][a] dbar_b f of X_f at p,
-    which need only the antiholomorphic derivatives of f."""
-    return 1j * _contract(g_inv, wirtinger(f, p)[1], g_inv.ndim - 2)
-
-
 def _field(g_inv: np.ndarray, d: np.ndarray, dbar: np.ndarray) -> TangentVector:
     """X_f from the inverse metric and the Wirtinger derivatives (d, dbar) of f:
     holo[a] = i ginv[b][a] dbar_b f, anti[b] = -i ginv[b][a] d_a f."""

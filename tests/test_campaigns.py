@@ -237,7 +237,8 @@ def test_random_polynomials_draw_one_index_per_term(monkeypatch):
             return getattr(self.rng, name)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    polys = campaigns.random_holomorphic_polynomials(8, 3, seed=5)
+    polys = campaigns.random_holomorphic_polynomials(8, seed=5)
+    assert len(polys) == campaigns.POLARIZATION_POLYNOMIALS
     assert len(draws) == 3 * 3
     for poly in polys:
         terms = poly.keywords["terms"]
@@ -246,7 +247,7 @@ def test_random_polynomials_draw_one_index_per_term(monkeypatch):
 
 def test_random_polynomials_are_seeded():
     def terms(seed):
-        return [p.keywords["terms"] for p in campaigns.random_holomorphic_polynomials(8, 3, seed)]
+        return [p.keywords["terms"] for p in campaigns.random_holomorphic_polynomials(8, seed)]
 
     assert terms(5) == terms(5)
     assert terms(5) != terms(6)

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import shlex
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genosc.geometry
 import genosc.quantization
@@ -618,6 +622,8 @@ class TestEval:
             '{"coeff": [[[1,0],[0,0]],[[0,0],[0,0]]], "constant": 5}',
             '{"coeff": [[[1,0],[0,0]],[[0,0]]]}',
             "[1]",
+            '{"coeff": [["12",[0,0]],[[0,0],[1,0]]]}',
+            '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]], "constant": {"3": 0, "4": 1}}',
         ],
     )
     def test_malformed_element_exit_2(self, capsys, monkeypatch, element):
@@ -628,12 +634,93 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == "" and "--element" in out.err
 
-    def test_element_of_other_dimension_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0], [1, 0]]"))
-        element = '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}'
-        code, out, _ = run(capsys, "eval", "--m", "3", "--a", "1", "--element", element)
+    def test_element_of_other_dimension_exit_2(self, capsys, monkeypatch):
+        # coeff must be --m x --m: a 2 x 2 element, or none, is unusable at --m 3.
+        for element in ('{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}', '{"coeff": []}'):
+            monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0], [1, 0]]"))
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--m", "3", "--a", "1", "--element", element])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "coefficient matrix must be 3 x 3" in out.err
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "[[1, 0]]",
+            "[[1, 0], [1, 0], [1, 0]]",
+            "{}",
+            "[]",
+            "[[true, 0], [1, 0]]",
+            "[[1, 0], [1, null]]",
+            '[[1, 0], ["1", 0]]',
+            "[[1, 0], [1, 0, 0]]",
+            '[[1, 0], "ab"]',
+            "[[1" + "0" * 400 + ", 0], [1, 0]]",
+            "[" * 5000 + "]" * 5000,
+        ],
+        ids=[
+            "short",
+            "long",
+            "object",
+            "empty",
+            "bool",
+            "null",
+            "string",
+            "triple",
+            "string-pair",
+            "int-over-float",
+            "deep",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "mode", [["--metric"], ["--element", '{"coeff": [[[1,0],[0,0]],[[0,0],[1,0]]]}']],
+        ids=["--metric", "--element"],
+    )
+    def test_unusable_point_exit_2(self, capsys, monkeypatch, point, mode):
+        # The point must be --m pairs of JSON numbers, and each must fit a float.
+        monkeypatch.setattr("sys.stdin", io.StringIO(point))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", *mode])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected a JSON array of [re, im] pairs on stdin" in out.err
+
+    def test_deeply_nested_element_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [1, 0]]"))
+        element = '{"coeff": ' + "[" * 5000 + "]" * 5000 + "}"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--a", "1", "--element", element])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "malformed --element: RecursionError" in out.err
+
+    @pytest.mark.parametrize(
+        "a, point, error",
+        [
+            # u'' = 0/0: r^2 underflows.
+            ("0", "[[0, 2.2e-162]]", "closed-form and direct inverse disagree by nan"),
+            # u' + r u'' cancels to exactly 0.
+            ("-1", "[[0, 1.1754943508222875e-38]]", "the closed-form metric is singular"),
+        ],
+        ids=["nan", "singular"],
+    )
+    def test_metric_lost_to_floats_exit_1(self, capsys, monkeypatch, a, point, error):
+        monkeypatch.setattr("sys.stdin", io.StringIO(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--m", "1", f"--a={a}", "--metric")
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"].startswith(f"ConditioningError: {error}")
+
+    def test_underflowing_r_is_reported_as_r(self, capsys, monkeypatch):
+        # r = 1e-600 underflows to 0; at --a -1 the domain bound r^m > a^m holds.
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1e-300, 0]]"))
+        code, out, _ = run(capsys, "eval", "--m", "1", "--a=-1", "--metric")
         assert code == 1
-        assert "DimensionMismatch" in json.loads(out)["error"]
+        assert json.loads(out)["error"] == "DomainError: r = 0 <= 0"
 
     @pytest.mark.parametrize(
         "point", ["[[1e308, 0], [1e308, 0]]", "[[NaN, 0], [1, 0]]", "[[1, Infinity], [1, 0]]"]
@@ -681,6 +768,90 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert "--element" in out.err and "overflows" in out.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} in a report")
+
+
+def _is_point(value, m) -> bool:
+    """Whether value is m [re, im] pairs of JSON numbers, booleans excluded."""
+    return (
+        type(value) is list
+        and len(value) == m
+        and all(type(p) is list and len(p) == 2 for p in value)
+        and all(type(x) in (int, float) for p in value for x in p)
+    )
+
+
+# JSON values of mixed types: huge and subnormal numbers, non-finite floats
+# (json writes them as NaN and Infinity), booleans, null, strings.
+_NUMBERS = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from([5e-324, 1e-310, 1e-200, 2.2e-162, 1e-160, 1e-100, 0.5, 1e150, 1e308]),
+)
+_SCALARS = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner),
+    max_leaves=12,
+)
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+@st.composite
+def _eval_inputs(draw):
+    """(m, argv, stdin) for eval: points and elements of the right shape,
+    near misses and arbitrary JSON, as text."""
+    m = draw(st.integers(1, 3))
+    pair = st.lists(_NUMBERS | _SCALARS, min_size=2, max_size=2)
+    point = st.lists(pair, min_size=m, max_size=m) | st.lists(pair, max_size=4) | _VALUES
+    stdin = draw(point.map(json.dumps) | st.just(_DEEP))
+    if draw(st.booleans()):
+        mode = ["--metric"]
+    else:
+        entry = st.lists(_NUMBERS.map(str) | _NUMBERS | _SCALARS, min_size=2, max_size=2)
+        square = lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        coeff = st.integers(0, 4).flatmap(square)
+        spec = st.fixed_dictionaries({"coeff": coeff}, optional={"constant": entry}) | _VALUES
+        mode = ["--element", draw(spec.map(json.dumps) | st.just('{"coeff": ' + _DEEP + "}"))]
+    a = draw(st.sampled_from(["0", "1", "-1", "0.5"]))
+    return m, ["eval", "--m", str(m), f"--a={a}", *mode], stdin
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_inputs())
+def test_eval_contract(inputs):
+    """Every eval input ends in one JSON report line with exit 0 or 1 and
+    nothing on stderr, or in a usage error with exit 2 and nothing on stdout;
+    a point that is not --m pairs of JSON numbers, or an element that is not
+    --m x --m, is a usage error.  Warnings are errors, since a real run would
+    print them on stderr."""
+    m, argv, stdin = inputs
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = saved
+    out, err = out.getvalue(), err.getvalue()
+    if code in (0, 1):
+        assert err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out, parse_constant=_refuse_constant)
+        assert _is_point(json.loads(stdin), m)
+        if "--element" in argv:
+            coeff = json.loads(argv[-1])["coeff"]
+            assert len(coeff) == m and all(len(row) == m for row in coeff)
+    else:
+        assert code == 2
+        assert out == "" and "usage:" in err
 
 
 class TestRenderJson:

@@ -120,6 +120,9 @@ def test_floats_raise_type_error(p, f):
             op(x, f)
         with pytest.raises(TypeError):
             op(f, x)
+    # One operand rule: every arithmetic method declines a float, on either side.
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(x, name)(f) is NotImplemented
     for args in [(f,), (0, f)]:
         with pytest.raises(TypeError):
             ComplexRational(*args)

@@ -52,6 +52,17 @@ class TestRadialProfile:
         with pytest.raises(DomainError):
             radial_profile(OscillatorParams(m=2, a=1.0), 1.0)
 
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_message_names_the_broken_bound(self, a):
+        # At r <= 0 the cause is r itself, whatever r^m - a^m reads there.
+        params = OscillatorParams(m=1, a=a)
+        for r in (0.0, -2.0):
+            with pytest.raises(DomainError, match=rf"^r = {r:g} <= 0$"):
+                radial_profile(params, np.array([3.0, r]))
+        if a > 0:
+            with pytest.raises(DomainError, match=r"^r\^m - a\^m = -0.5 <= 0 at r = 0.5$"):
+                radial_profile(params, np.array([3.0, 0.5]))
+
     @pytest.mark.parametrize("m,a,r", [(2, 1.0, 2.0), (3, 0.7, 1.5), (4, 0.5, 1.1), (1, 0.2, 0.9)])
     def test_algebraic_identities(self, m, a, r):
         prof = radial_profile(OscillatorParams(m=m, a=a), r)

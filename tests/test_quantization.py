@@ -11,7 +11,6 @@ from genosc import (
     AlgebraElement,
     ComplexRational,
     DimensionMismatch,
-    OscillatorParams,
     dirac_nonzero,
     dirac_residual,
     monomial_basis,
@@ -71,6 +70,9 @@ class TestMonomialBasis:
             monomial_basis(0, 1)
         with pytest.raises(ValueError):
             monomial_basis(2, -1)
+        # quantize builds its basis here, so it refuses a negative degree too.
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            quantize(AlgebraElement.basis(2, 0, 0), -1)
 
     def test_cached_per_shape(self):
         assert monomial_basis(3, 4) is monomial_basis(3, 4)
@@ -600,17 +602,11 @@ class TestSpectrum:
         ],
     )
     def test_lines(self, m, l, eig, mult):
-        line = spectrum_of_H(OscillatorParams(m=m), l)
+        line = spectrum_of_H(m, l)
         assert line.eigenvalue == eig
         assert line.multiplicity == mult
 
-    def test_independent_of_deformation(self):
-        for a in (0.0, 0.5, 2.0):
-            line = spectrum_of_H(OscillatorParams(m=2, a=a), 3)
-            assert line.eigenvalue == Fraction(4)
-            assert line.multiplicity == 4
-
     def test_ladder_spacing_is_one_hbar(self):
-        eigs = [spectrum_of_H(OscillatorParams(m=3), l).eigenvalue for l in range(5)]
+        eigs = [spectrum_of_H(3, l).eigenvalue for l in range(5)]
         assert all(b - a == 1 for a, b in zip(eigs, eigs[1:]))
         assert eigs[0] == Fraction(3, 2)
