@@ -98,8 +98,9 @@ MAX_DIRAC_PAIRS = 4096
 #: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
 #: --m 2 --l 9999 took 0.03 s at 33 MB peak RSS, spectrum --m 1 --lmax 9999
 #: 0.53 s at 38 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
-#: 0.07 s.  With both dirac limits reached at once, dirac --m 8 --l 8
-#: (6 435 states, 4 096 pairs) took 1.2-1.7 s at 37 MB.
+#: 0.04-0.05 s at 35 MB.  With both dirac limits reached at once, dirac
+#: --m 8 --l 8 (6 435 states, 4 096 pairs) took 0.9-1.4 s at 53 MB in a
+#: fresh process, of which about 16 MB are its 169 distinct bracket operators.
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
@@ -317,8 +318,9 @@ def _cmd_eval(args, parser) -> int:
         r=point.r,
     )
     # numpy overflow raises here as in verify, rather than turning values into
-    # inf.  At a point so near 0 that r^2 s^(m-1) underflows, u'' is 0/0 or
-    # x/0: metric_at then raises ConditioningError, and moment_map never reads u''.
+    # inf.  At a point so near 0 that r^2 s^(m-1) underflows, u'' is x/0 for
+    # a^m != 0 (radial_profile gives 0 at a^m = 0): metric_at then raises
+    # ConditioningError, and moment_map never reads u''.
     try:
         with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             if args.metric:

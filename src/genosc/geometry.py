@@ -142,10 +142,10 @@ def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
     at r, a float or an array of radii.
 
     The integer powers a^m, r^m, r^2 and s^(m-1) are float products and the
-    root s = (r^m - a^m)^(1/m) is one _pow call.  Raises DomainError if any r
-    is at or below 0 or the degeneration radius r^m = a^m, naming the first
-    such r and which bound it breaks, and FloatingPointError if a power
-    overflows a float.
+    root s = (r^m - a^m)^(1/m) is one _pow call; u'' is 0 where a^m is 0.
+    Raises DomainError if any r is at or below 0 or the degeneration radius
+    r^m = a^m, naming the first such r and which bound it breaks, and
+    FloatingPointError if a power overflows a float.
     """
     m = params.m
     r = np.asarray(r, dtype=float)
@@ -161,7 +161,9 @@ def radial_profile(params: OscillatorParams, r) -> PotentialProfile:
             raise DomainError(f"r^m - a^m = {dom_i:g} <= 0 at r = {r_i:g}")
         s = _pow(dom, 1.0 / m)
         u_prime = s / r
-        u_double_prime = a_m / (r * r * _power(s, m - 1))
+        # At a^m = +-0 the metric is flat and u'' is that zero, with its sign,
+        # also where r^2 underflows and the quotient would be 0/0.
+        u_double_prime = a_m / (r * r * _power(s, m - 1)) if a_m else np.full_like(r, a_m)[()]
         return PotentialProfile(u_prime, u_double_prime, s, u_prime + r * u_double_prime)
 
 

@@ -24,9 +24,11 @@ a (row, col), so matrix entries are read out exactly per (power, shift):
 each group of terms is summed as one integer array, the zero test is whether
 every such sum is zero, with no entry visited, and `matrix` reads each
 nonzero column of a sum as one entry.  The Dirac check quantizes each of the
-m^2 basis elements once per command; each of the m^4 pairs then costs one
-structure bracket, one quantize of the bracket, one commutator and the
-exact zero test.
+m^2 basis elements once per command, and each distinct bracket once: the
+m^4 basis brackets take only 3m(m-1) + 1 values, so a command makes
+m^2 + 3m(m-1) + 1 quantize calls.  Each pair still costs one structure
+bracket, one commutator and the exact zero test.  Quantized operators are
+shared between pairs, so their arrays are read-only.
 """
 from __future__ import annotations
 
@@ -247,7 +249,8 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     place_values[a] - place_values[b], as a Python int, and every other
     term's is 0.  The weight bound is 2l + 1 for an off-diagonal term,
     2l + (number of columns) for a diagonal one and 1 for the constant;
-    weights are computed in int64 while 2l + m fits.
+    weights are computed in int64 while 2l + m fits.  Every target and
+    weight array of the result is read-only, so operators can be shared.
     """
     basis = monomial_basis(e.m, l)
     radix, keys, identity = basis.place_values, basis.keys, basis.identity
@@ -270,6 +273,9 @@ def quantize(e: AlgebraElement, l: int) -> QuantumOperator:
     for c, cols in diagonal.items():
         terms.append((1, c * _HALF, identity, 2 * k.take(cols, axis=1).sum(axis=1) + len(cols), 0))
         bounds.append(2 * l + len(cols))
+    for _, _, target, weight, _ in terms:
+        target.setflags(write=False)
+        weight.setflags(write=False)
     return QuantumOperator(basis.size, tuple(terms), max(bounds, default=0))
 
 
@@ -278,9 +284,9 @@ def dirac_residual(
 ) -> QuantumOperator:
     """[q1, q2] + i hbar qb, expected to be exactly zero when q1 = Q(e1),
     q2 = Q(e2) and qb = Q({e1, e2}).  `dirac_nonzero` quantizes each basis
-    element once per command and passes the operators in, so a pair costs one
-    structure_bracket, one quantize of the bracket, one commutator and the
-    exact zero test; qb's terms are appended to the commutator's, each
+    element and each distinct bracket once per command and passes the
+    operators in, so a pair costs one structure_bracket, one commutator and
+    the exact zero test; qb's terms are appended to the commutator's, each
     multiplied by i and raised one power of hbar."""
     comm = q1.commutator(q2)
     comm._check(qb)
@@ -290,15 +296,29 @@ def dirac_residual(
 
 def dirac_nonzero(m: int, l: int) -> int:
     """The number of basis pairs (N^{ab'}, N^{cd'}) whose Dirac residual on
-    degree l is not exactly zero; each of the m^2 basis elements is quantized
-    once, so a run makes m^2 + m^4 quantize calls."""
+    degree l is not exactly zero.
+
+    Each of the m^2 basis elements is quantized once, and so is each distinct
+    bracket, keyed by its exact terms and constant in a dict local to the
+    call: quantize is a pure function of (e, l), so a reused operator is the
+    one a fresh call builds.  The brackets i(delta_bc N^{ad'} - delta_ad N^{cb'})
+    are 0 (b != c and a != d, or a = b = c = d), i N^{ad'} (b = c, a != d),
+    -i N^{cb'} (a = d, b != c) or i(N^{aa'} - N^{bb'}) (the pairs (a, b),
+    (b, a) with a != b): 3m(m-1) + 1 values, so a run makes
+    m^2 + 3m(m-1) + 1 quantize calls where one per pair made m^2 + m^4.
+    """
     basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
     quantized = [(e, quantize(e, l)) for e in basis]
-    return sum(
-        not dirac_residual(q1, q2, quantize(structure_bracket(e1, e2), l)).is_zero
-        for e1, q1 in quantized
-        for e2, q2 in quantized
-    )
+    brackets: dict = {}
+    nonzero = 0
+    for e1, q1 in quantized:
+        for e2, q2 in quantized:
+            b = structure_bracket(e1, e2)
+            key = (tuple(b.terms.items()), b.constant)
+            if key not in brackets:
+                brackets[key] = quantize(b, l)
+            nonzero += not dirac_residual(q1, q2, brackets[key]).is_zero
+    return nonzero
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import math
 import shlex
 import sys
 import warnings
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +13,9 @@ from hypothesis import strategies as st
 
 import genosc.geometry
 import genosc.quantization
-from genosc import AlgebraElement, OscillatorParams, cli, sample_points
+from genosc import OscillatorParams, cli, sample_points
 from genosc.campaigns import det_residual, field_residual
 from genosc.cli import TOLERANCES, _render_json, main
-from genosc.exact import ZERO
 
 
 def run(capsys, *argv):
@@ -291,31 +289,15 @@ class TestMutationGate:
         assert field_residual(params, points) > TOLERANCES["field"]
 
 
-@pytest.fixture
-def no_half_form_shift(monkeypatch):
-    """quantize with weight 2 k_b in place of 2 k_b + delta_ab: Q(e) less
-    hbar (sum_a c_aa) / 2 times the identity.  Returns the list of elements
-    it quantized, so a test can see that the patch is reached."""
-    quantize = genosc.quantization.quantize
-    calls = []
-
-    def unshifted(e, l):
-        calls.append(e)
-        trace = sum((c for (a, b), c in e.terms.items() if a == b), ZERO)
-        half_trace = AlgebraElement(e.m, constant=trace * Fraction(1, 2))
-        return quantize(e, l) - quantize(half_trace, l).shift_hbar(1)
-
-    monkeypatch.setattr(genosc.quantization, "quantize", unshifted)
-    return calls
-
-
 class TestHalfFormShift:
     def test_dirac_cannot_see_it(self, capsys, no_half_form_shift):
         # A multiple of the identity commutes with everything.
         code, out, _ = run(capsys, "dirac", "--m", "3", "--l", "2")
         assert code == 0
         assert json.loads(out)["nonzero_residuals"] == 0
-        assert len(no_half_form_shift) == 3**2 + 3**4
+        # The basis elements and the distinct brackets (see
+        # test_each_basis_element_is_quantized_once): 9 + 19 at m = 3.
+        assert len(no_half_form_shift) == 3**2 + 3 * 3 * 2 + 1
 
     def test_spectrum_fails_without_a_report(self, capsys, no_half_form_shift):
         code, out, err = run(capsys, "spectrum", "--m", "2", "--lmax", "2")
@@ -534,8 +516,13 @@ class TestDirac:
 
     @pytest.mark.parametrize("m, l", [(1, 5), (2, 3), (4, 3)])
     def test_each_basis_element_is_quantized_once(self, capsys, monkeypatch, m, l):
-        # m^2 basis operators, then one bracket per pair: m^2 + m^4 calls,
-        # where quantizing e1, e2 and the bracket per pair made 3 m^4.
+        # m^2 basis operators, then one per distinct bracket.  The brackets
+        # {N^{ab'}, N^{cd'}} = i(delta_bc N^{ad'} - delta_ad N^{cb'}) are 0
+        # (b != c and a != d, or a = b = c = d), i N^{ad'} (b = c, a != d),
+        # -i N^{cb'} (a = d, b != c) or i(N^{aa'} - N^{bb'}) (the pairs
+        # (a, b), (b, a), a != b): 3m(m-1) + 1 values, so m^2 + 3m(m-1) + 1
+        # calls (2, 11 and 53 here), where one bracket per pair made
+        # m^2 + m^4 and quantizing e1, e2 and the bracket per pair 3 m^4.
         quantize = genosc.quantization.quantize
         calls = []
         monkeypatch.setattr(
@@ -543,7 +530,7 @@ class TestDirac:
         )
         code, _, _ = run(capsys, "dirac", "--m", str(m), "--l", str(l))
         assert code == 0
-        assert len(calls) == m**2 + m**4
+        assert len(calls) == m**2 + 3 * m * (m - 1) + 1
 
     def test_m8_is_within_the_pair_limit(self, monkeypatch):
         class Checking(Exception):
@@ -700,8 +687,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "a, point, error",
         [
-            # u'' = 0/0: r^2 underflows.
-            ("0", "[[0, 2.2e-162]]", "closed-form and direct inverse disagree by nan"),
+            # r^2 underflows to 0, and u'' = a^m / r^2 is past the float range.
+            ("-1e-300", "[[0, 2.2e-162]]", "closed-form and direct inverse disagree by nan"),
             # u' + r u'' cancels to exactly 0.
             ("-1", "[[0, 1.1754943508222875e-38]]", "the closed-form metric is singular"),
         ],
@@ -714,6 +701,17 @@ class TestEval:
             code, out, err = run(capsys, "eval", "--m", "1", f"--a={a}", "--metric")
         assert code == 1 and err == ""
         assert json.loads(out)["error"].startswith(f"ConditioningError: {error}")
+
+    def test_flat_metric_survives_underflowing_r_squared(self, capsys, monkeypatch):
+        # At a = 0, u'' is 0 even where r^2 underflows and a^m / r^2 is 0/0.
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[0, 2.2e-162]]"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--m", "1", "--a=0", "--metric")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["profile"]["u_double_prime"] == 0
+        assert report["g"] == report["g_inv"] == [[[1, 0]]]
 
     def test_underflowing_r_is_reported_as_r(self, capsys, monkeypatch):
         # r = 1e-600 underflows to 0; at --a -1 the domain bound r^m > a^m holds.

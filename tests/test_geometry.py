@@ -42,6 +42,19 @@ class TestRadialProfile:
         assert prof.u_prime == pytest.approx(1.0)
         assert prof.u_double_prime == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("a", [0.0, -0.0])
+    def test_flat_case_where_r_squared_underflows(self, a):
+        # r^2 is 0 at the least positive float, so the quotient for u'' is 0/0.
+        params = OscillatorParams(m=1, a=a)
+        tiny = np.nextafter(0.0, 1.0)
+        prof = radial_profile(params, tiny)
+        assert type(prof.u_double_prime) is np.float64
+        assert math.copysign(1.0, prof.u_double_prime) == math.copysign(1.0, a)
+        assert prof.u_double_prime == 0 and prof.s_prime == 1
+        array = radial_profile(params, np.array([[tiny, 2.0]]))
+        assert array.u_double_prime.shape == (1, 2)
+        assert array.u_double_prime.tolist() == [[0, 0]]
+
     def test_curved_values(self):
         # independently: u' = sqrt(3)/2, u'' = 1/(4 sqrt(3))
         prof = radial_profile(OscillatorParams(m=2, a=1.0), 2.0)

@@ -146,6 +146,16 @@ class TestQuantize:
                     diagonal = [v for (r, c), v in op.matrix(1).items() if r == c]
                     assert sum(diagonal, ComplexRational()) == ComplexRational(expected)
 
+    def test_arrays_are_read_only(self):
+        # dirac_nonzero shares one operator between the pairs it checks.
+        e = AlgebraElement(2, {(0, 0): 1, (0, 1): 2, (1, 1): 3}, constant=1)
+        terms = quantize(e, 2).terms
+        assert len(terms) == 4
+        for _, _, target, weight, _ in terms:
+            for array in (target, weight):
+                with pytest.raises(ValueError):
+                    array[0] = 7
+
     def test_entries_are_half_integers_for_basis_elements(self):
         op = quantize(AlgebraElement.basis(3, 1, 1), 3)
         mat = op.matrix(1)
@@ -473,9 +483,12 @@ class TestInt64Bound:
         assert (op.matrix(0), op.matrix(1)) == (want[0], want[1])
 
 
-def pair_residual(e1, e2, l, bracket=structure_bracket):
-    """The Dirac residual of one pair, quantizing e1, e2 and their bracket."""
-    return dirac_residual(quantize(e1, l), quantize(e2, l), quantize(bracket(e1, e2), l))
+def pair_residual(e1, e2, l):
+    """The Dirac residual of one pair, quantizing e1, e2 and their bracket
+    afresh with the quantize and structure_bracket that genosc.quantization
+    holds when called, so a patched one is used."""
+    q, bracket = genosc.quantization.quantize, genosc.quantization.structure_bracket
+    return dirac_residual(q(e1, l), q(e2, l), q(bracket(e1, e2), l))
 
 
 def negated_bracket(e1, e2):
@@ -577,18 +590,24 @@ class TestDirac:
             dirac_residual(q2, q3, q2)
 
     @pytest.mark.parametrize("m, l, negated", [(2, 3, 10), (3, 2, 42), (4, 3, 108)])
-    def test_nonzero_count_matches_per_pair_oracle(self, monkeypatch, m, l, negated):
-        # With {f, g} negated, a pair's residual cancels only where the
-        # bracket is 0.
+    def test_nonzero_count_matches_per_pair_oracle(self, request, monkeypatch, m, l, negated):
+        # dirac_nonzero quantizes each distinct bracket once; the oracle
+        # quantizes every pair's bracket afresh.  Both must count alike on
+        # the real code and on two mutants: with {f, g} negated, a pair's
+        # residual cancels only where the bracket is 0, and without the
+        # half-form shift every residual still cancels.
         basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
 
-        def oracle(bracket):
+        def oracle():
             pairs = itertools.product(basis, repeat=2)
-            return sum(not pair_residual(e1, e2, l, bracket).is_zero for e1, e2 in pairs)
+            return sum(not pair_residual(e1, e2, l).is_zero for e1, e2 in pairs)
 
-        assert dirac_nonzero(m, l) == oracle(structure_bracket) == 0
-        monkeypatch.setattr(genosc.quantization, "structure_bracket", negated_bracket)
-        assert dirac_nonzero(m, l) == oracle(negated_bracket) == negated
+        assert dirac_nonzero(m, l) == oracle() == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(genosc.quantization, "structure_bracket", negated_bracket)
+            assert dirac_nonzero(m, l) == oracle() == negated
+        request.getfixturevalue("no_half_form_shift")
+        assert dirac_nonzero(m, l) == oracle() == 0
 
 
 class TestSpectrum:
