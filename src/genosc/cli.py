@@ -95,12 +95,14 @@ MAX_DIRAC_PAIRS = 4096
 #: C(l+m-1, m-1) states, or the bases of degrees 0..lmax of spectrum,
 #: C(lmax+m, m) states in all.  Checked before any basis is built, since
 #: enumerating a basis takes time and memory in proportion to its size.  At
-#: this limit, in one process on a 2-core x86-64 VM with Python 3.11, dirac
-#: --m 2 --l 9999 took 0.03 s at 33 MB peak RSS, spectrum --m 1 --lmax 9999
-#: 0.53 s at 38 MB, and dirac --m 3 --l 139 (9 870 states, 81 pairs)
-#: 0.04-0.05 s at 35 MB.  With both dirac limits reached at once, dirac
-#: --m 8 --l 8 (6 435 states, 4 096 pairs) took 0.9-1.4 s at 53 MB in a
-#: fresh process, of which about 16 MB are its 169 distinct bracket operators.
+#: this limit, each in a fresh process on a 2-core x86-64 VM with Python
+#: 3.11 (wall time, interpreter start included), dirac --m 2 --l 9999 took
+#: 0.22-0.26 s at 34 MB peak RSS and dirac --m 3 --l 139 (9 870 states, 81
+#: pairs) 0.24-0.26 s at 36 MB; in one process, spectrum --m 1 --lmax 9999
+#: took 0.53 s at 38 MB.  With both dirac limits reached at once, dirac
+#: --m 8 --l 8 (6 435 states, 4 096 pairs) took 0.55-0.65 s (once 0.9 s) at
+#: 55 MB in a fresh process, of which about 17 MB are its stack of 169 distinct bracket
+#: operators and 7 MB its stack of 64 basis operators.
 MAX_BASIS_STATES = 10_000
 
 #: Most exponent entries spectrum builds, m C(lmax+m, m): m per state, as
@@ -161,7 +163,13 @@ def _verdict(report: dict, checks: list[tuple[str, bool, str]]) -> int:
 
 def _check_limit(count: int, unit: str, limit: int, what: str, parser):
     if count > limit:
-        parser.error(f"{what} has {count} {unit}, over the limit of {limit}")
+        # An option may have as many digits as int() reads, and a count
+        # made from it more than str() writes.
+        try:
+            shown = str(count)
+        except ValueError:
+            shown = f"at least 10^{sys.get_int_max_str_digits()}"
+        parser.error(f"{what} has {shown} {unit}, over the limit of {limit}")
 
 
 def _a_option(a: float) -> str:

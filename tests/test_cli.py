@@ -380,6 +380,15 @@ class TestSpectrum:
         assert out.out == ""
         assert "has over 10000 basis states" in out.err
 
+    def test_count_past_str_digits_exit_2(self, capsys):
+        # C(lmax + 2, 2) has about 8 000 digits, more than str() writes
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--m", "2", "--lmax", str(10**4000)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "has at least 10^4300 basis states, over the limit of 10000" in out.err
+
     def test_too_many_coordinates_exit_2_at_lmax_0(self, capsys, monkeypatch):
         # Degree 0 has one state, but Q(H) has one term per coordinate.
         def quantize(*args):
@@ -531,6 +540,16 @@ class TestDirac:
         code, _, _ = run(capsys, "dirac", "--m", str(m), "--l", str(l))
         assert code == 0
         assert len(calls) == m**2 + 3 * m * (m - 1) + 1
+
+    def test_count_past_str_digits_exit_2(self, capsys):
+        # int() reads the 4 001 digits of --m, but str() cannot write the
+        # 16 001 of m^4
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "--m", str(10**4000), "--l", "0"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "has at least 10^4300 basis pairs, over the limit of 4096" in out.err
 
     def test_m8_is_within_the_pair_limit(self, monkeypatch):
         class Checking(Exception):
@@ -818,15 +837,9 @@ def _eval_inputs(draw):
     return m, ["eval", "--m", str(m), f"--a={a}", *mode], stdin
 
 
-@settings(max_examples=200, deadline=None)
-@given(_eval_inputs())
-def test_eval_contract(inputs):
-    """Every eval input ends in one JSON report line with exit 0 or 1 and
-    nothing on stderr, or in a usage error with exit 2 and nothing on stdout;
-    a point that is not --m pairs of JSON numbers, or an element that is not
-    --m x --m, is a usage error.  Warnings are errors, since a real run would
-    print them on stderr."""
-    m, argv, stdin = inputs
+def _main_quietly(argv, stdin=""):
+    """(exit code, stdout, stderr) of main(argv) with stdin, warnings as
+    errors, since a real run would print them on stderr."""
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
@@ -838,18 +851,60 @@ def test_eval_contract(inputs):
         code = exc.code
     finally:
         sys.stdin = saved
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err) -> bool:
+    """One JSON report line (no NaN or Infinity) with exit 0 or 1 and nothing
+    on stderr, or a usage error with exit 2 and nothing on stdout; whether
+    there is a report."""
     if code in (0, 1):
         assert err == ""
         assert out.endswith("\n") and out.count("\n") == 1
         json.loads(out, parse_constant=_refuse_constant)
+        return True
+    assert code == 2
+    assert out == "" and "usage:" in err
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_inputs())
+def test_eval_contract(inputs):
+    """Every eval input ends in one JSON report line with exit 0 or 1 and
+    nothing on stderr, or in a usage error with exit 2 and nothing on stdout;
+    a point that is not --m pairs of JSON numbers, or an element that is not
+    --m x --m, is a usage error."""
+    m, argv, stdin = inputs
+    if _assert_contract(*_main_quietly(argv, stdin)):
         assert _is_point(json.loads(stdin), m)
         if "--element" in argv:
             coeff = json.loads(argv[-1])["coeff"]
             assert len(coeff) == m and all(len(row) == m for row in coeff)
-    else:
-        assert code == 2
-        assert out == "" and "usage:" in err
+
+
+def _size_word(small):
+    """An integer option's text: a small value, an integer far past every
+    limit, or a word that is not an integer."""
+    huge = st.sampled_from([10**30, -(10**30), 2**63, 2**64 + 1, 10**4000])
+    words = st.sampled_from(["", " ", "x", "1.5", "1e3", "nan", "inf", "0x10", "--", "-", "=2"])
+    return st.one_of(small.map(str), huge.map(str), words, st.text(max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([("dirac", "--l"), ("spectrum", "--lmax")]),
+    _size_word(st.integers(-1, 5)),
+    _size_word(st.integers(-1, 6)),
+)
+def test_dirac_and_spectrum_contract(command, m, l):
+    """Every dirac and spectrum input ends in one JSON report line with exit
+    0 or 1 and nothing on stderr, or in a usage error with exit 2 and
+    nothing on stdout; the options below their minimums, sizes past the
+    limits and words that are not integers are usage errors."""
+    name, degree = command
+    if _assert_contract(*_main_quietly([name, "--m", m, degree, l])):
+        assert int(m) >= 1 and int(l) >= 0
 
 
 class TestRenderJson:

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from genosc import (
     AlgebraElement,
     ComplexRational,
     DimensionMismatch,
+    QuantumOperator,
     dirac_nonzero,
     dirac_residual,
     monomial_basis,
@@ -591,23 +593,160 @@ class TestDirac:
 
     @pytest.mark.parametrize("m, l, negated", [(2, 3, 10), (3, 2, 42), (4, 3, 108)])
     def test_nonzero_count_matches_per_pair_oracle(self, request, monkeypatch, m, l, negated):
-        # dirac_nonzero quantizes each distinct bracket once; the oracle
-        # quantizes every pair's bracket afresh.  Both must count alike on
-        # the real code and on two mutants: with {f, g} negated, a pair's
-        # residual cancels only where the bracket is 0, and without the
-        # half-form shift every residual still cancels.
+        # dirac_nonzero quantizes each distinct bracket once and checks the
+        # pairs in chunks; the oracle quantizes every pair's bracket afresh
+        # and checks each pair alone.  Both must count alike on the real code
+        # and on two mutants: with {f, g} negated, a pair's residual cancels
+        # only where the bracket is 0, and without the half-form shift every
+        # residual still cancels.
         basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
 
         def oracle():
             pairs = itertools.product(basis, repeat=2)
             return sum(not pair_residual(e1, e2, l).is_zero for e1, e2 in pairs)
 
-        assert dirac_nonzero(m, l) == oracle() == 0
+        def counts():
+            return {chunked_count(monkeypatch, m, l, entries) for entries in chunk_entries(m, l)}
+
+        assert counts() == {oracle()} == {0}
         with monkeypatch.context() as patch:
             patch.setattr(genosc.quantization, "structure_bracket", negated_bracket)
-            assert dirac_nonzero(m, l) == oracle() == negated
+            assert counts() == {oracle()} == {negated}
         request.getfixturevalue("no_half_form_shift")
-        assert dirac_nonzero(m, l) == oracle() == 0
+        assert counts() == {oracle()} == {0}
+
+    def test_one_wrong_pair_is_counted_once(self, monkeypatch):
+        # A bracket wrong on one ordered pair only: 0 for (N^{01'}, N^{10'}),
+        # whose bracket is i(N^{00'} - N^{11'}).  The pair shares chunks with
+        # its neighbours, and its verdict must stay its own.
+        m, l = 3, 2
+        wrong = (AlgebraElement.basis(m, 0, 1).terms, AlgebraElement.basis(m, 1, 0).terms)
+
+        def bracket(e1, e2):
+            if (e1.terms, e2.terms) == wrong:
+                return AlgebraElement(m)
+            return structure_bracket(e1, e2)
+
+        monkeypatch.setattr(genosc.quantization, "structure_bracket", bracket)
+        basis = [AlgebraElement.basis(m, a, b) for a in range(m) for b in range(m)]
+        pairs = itertools.product(basis, repeat=2)
+        assert sum(not pair_residual(e1, e2, l).is_zero for e1, e2 in pairs) == 1
+        counts = {chunked_count(monkeypatch, m, l, entries) for entries in chunk_entries(m, l)}
+        assert counts == {1}
+
+
+def chunk_entries(m, l):
+    """DIRAC_CHUNK_ENTRIES as set, and so that a chunk holds one pair, so
+    that a chunk holds m^2 - 1 pairs (the m^2 pairs of one first element
+    then fall in two chunks), and so that one chunk holds all m^4 pairs."""
+    dim = monomial_basis(m, l).size
+    return [genosc.quantization.DIRAC_CHUNK_ENTRIES, 1, (m * m - 1) * dim, m**4 * dim]
+
+
+def chunked_count(monkeypatch, m, l, entries):
+    monkeypatch.setattr(genosc.quantization, "DIRAC_CHUNK_ENTRIES", entries)
+    return dirac_nonzero(m, l)
+
+
+class TestStack:
+    @pytest.mark.parametrize("m, l", SHAPES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_members_act_as_their_operators(self, m, l, data):
+        # stacked sums, products and commutators, member by member, against
+        # the same operations on each member alone; the second factors are
+        # quantized elements, which keeps the products' term counts small
+        q1 = [data.draw(operators(m, l, depth=1)) for _ in range(3)]
+        q2 = [data.draw(operators(m, l, depth=0)) for _ in range(3)]
+        s1, s2 = QuantumOperator.stack(q1, 3), QuantumOperator.stack(q2, 3)
+        for stacked, alone in [
+            (s1, q1),
+            (s1 - s2, [a - b for a, b in zip(q1, q2)]),
+            (s1 @ s2, [a @ b for a, b in zip(q1, q2)]),
+            (s1.commutator(s2), [a.commutator(b) for a, b in zip(q1, q2)]),
+        ]:
+            # an operator with no terms has no batch axes: its one verdict
+            # broadcasts
+            zero = np.broadcast_to(stacked.is_zero, 3)
+            assert zero.tolist() == [bool(op.is_zero) for op in alone]
+            for i, op in enumerate(alone):
+                for power in range(5):
+                    assert stacked[i].matrix(power) == op.matrix(power)
+
+    def test_one_member_broadcasts(self):
+        # a one-member view of a stack against a stack of three
+        m, l = 3, 2
+        ops = [quantize(AlgebraElement.basis(m, a, b), l) for a, b in [(0, 0), (0, 1), (2, 1)]]
+        stack = QuantumOperator.stack(ops, 3)
+        comm = stack[1:2].commutator(stack)
+        assert comm.is_zero.shape == (3,)
+        for i, op in enumerate(ops):
+            assert comm[i].matrix(2) == ops[1].commutator(op).matrix(2)
+
+    def test_signs_and_identity_targets_share_slots(self):
+        # i N^{01'}, -i N^{10'} and i(N^{00'} - N^{11'}) fill one slot, the
+        # last merged into one identity-target term, and 0 has none
+        m, l = 2, 3
+        pairs = [((0, 0), (0, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 1))]
+        basis = lambda ab: AlgebraElement.basis(m, *ab)
+        ops = [quantize(structure_bracket(basis(ab), basis(cd)), l) for ab, cd in pairs]
+        assert [len(op.terms) for op in ops] == [1, 1, 2, 0]
+        stack = QuantumOperator.stack(ops, 4)
+        assert len(stack.terms) == 1
+        assert stack.bound == 2 * ops[2].bound
+        for i, op in enumerate(ops):
+            assert stack[i].matrix(1) == op.matrix(1)
+
+    def test_arrays_are_read_only(self):
+        stack = QuantumOperator.stack([quantize(AlgebraElement.basis(2, 0, 1), 2)], 1)
+        for _, _, target, weight, shift in stack.terms:
+            for array in (target, weight, shift):
+                with pytest.raises(ValueError):
+                    array[0] = 7
+
+    def test_dimension_mismatch(self):
+        # degree 1 has 2 states at m = 2 and 3 at m = 3
+        ops = [quantize(AlgebraElement.basis(m, 0, 0), 1) for m in (2, 3)]
+        with pytest.raises(DimensionMismatch):
+            QuantumOperator.stack(ops, 2)
+
+    def test_shifts_past_int64_are_exact(self):
+        # the operators of TestNetKeyShift.test_shifts_past_int64_are_exact:
+        # shifts 2^63 - 1 and 2^64 - 2 are Python ints in a stack too
+        m, l = 64, 1
+        e1, e2 = AlgebraElement.basis(m, 63, 0), AlgebraElement.basis(m, 0, 63)
+        q1, q2 = quantize(e1, l), quantize(e2, l)
+        stack = QuantumOperator.stack([q1, q2, q1 @ q1], 3)
+        assert [term[4].tolist() for term in stack.terms] == [
+            [2**63 - 1, 1 - 2**63, 0],
+            [0, 0, 2**64 - 2],
+        ]
+        left, right = QuantumOperator.stack([q1, q1], 2), QuantumOperator.stack([q1, q2], 2)
+        bracket = QuantumOperator.stack(
+            [quantize(structure_bracket(e1, e), l) for e in (e1, e2)], 2
+        )
+        residual = dirac_residual(left, right, bracket)
+        assert [term[4].tolist() for term in residual.terms[:2]] == [[2**64 - 2, 0]] * 2
+        assert residual.is_zero.tolist() == [True, True]
+        for i, e in enumerate((e1, e2)):
+            assert_shifts_match_keys(residual[i], m, l)
+            assert residual[i].is_zero == pair_residual(e1, e, l).is_zero
+
+    def test_fifth_power_past_int64_reads_exactly(self):
+        # as TestInt64Bound.test_fifth_power_past_int64_reads_exactly, on a
+        # stack: the zero test's sums run on Python ints, and one unit in
+        # about 3.2e31 tells the members apart
+        l = 10**6
+        q = quantize(AlgebraElement.basis(1, 0, 0), l)
+        power = q @ q @ q @ q @ q
+        stack = QuantumOperator.stack([q, q], 2)
+        stacked = stack @ stack @ stack @ stack @ stack
+        assert stacked.bound == (2 * l + 1) ** 5 > 2**63
+        assert all(term[3].dtype == object for term in stacked.terms)
+        bump = quantize(AlgebraElement(1, constant=Fraction(1, 32)), l).shift_hbar(5)
+        other = QuantumOperator.stack([power, power + bump], 2)
+        assert (stacked - other).is_zero.tolist() == [True, False]
+        assert stacked[1].matrix(5) == power.matrix(5)
 
 
 class TestSpectrum:
